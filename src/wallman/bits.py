@@ -29,3 +29,26 @@ def subset(a: int, b: int) -> bool:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def transpose(rows) -> list:
+    """Rows of the converse relation: out[j] has bit i iff rows[i] has bit j."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        b = 1 << i
+        for j in iter_bits(row):
+            out[j] |= b
+    return out
+
+
+def reflexive_transitive_closure(rows) -> list:
+    """Smallest reflexive, transitive relation containing rows (Warshall)."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    n = len(rows)
+    for k in range(n):
+        rk = rows[k]
+        kb = 1 << k
+        for i in range(n):
+            if rows[i] & kb:
+                rows[i] |= rk
+    return rows

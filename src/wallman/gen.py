@@ -11,7 +11,13 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .bits import bit, iter_bits, popcount, subset
+from .bits import (
+    bit,
+    popcount,
+    reflexive_transitive_closure,
+    subset,
+    transpose,
+)
 from .covers import CoverFamily, Member, is_T0_separating
 from .errors import SizeCap
 from .homs import LatticeHom
@@ -27,18 +33,12 @@ def random_poset(n_points: int, seed: int, edge_prob: float = 0.3):
     if not 0 <= n_points <= MAX_POSET_POINTS:
         raise SizeCap(f"poset points capped at {MAX_POSET_POINTS}")
     rng = random.Random(seed)
-    rows = [bit(i) for i in range(n_points)]
+    rows = [0] * n_points
     for i in range(n_points):
         for j in range(i + 1, n_points):
             if rng.random() < edge_prob:
                 rows[i] |= bit(j)
-    for k in range(n_points):
-        rk = rows[k]
-        kb = bit(k)
-        for i in range(n_points):
-            if rows[i] & kb:
-                rows[i] |= rk
-    return rows
+    return reflexive_transitive_closure(rows)
 
 
 def downset_lattice(
@@ -46,10 +46,7 @@ def downset_lattice(
 ) -> FiniteLattice:
     """Lattice of down-sets of a poset, in keyed mode (so distributive)."""
     n = len(poset_up_rows)
-    down = [0] * n
-    for i in range(n):
-        for j in iter_bits(poset_up_rows[i]):
-            down[j] |= bit(i)
+    down = transpose(poset_up_rows)
     seen = {0}
     frontier = [0]
     while frontier:

@@ -13,11 +13,18 @@ Elements are dense integer ids in input order.  All element sets are bitsets
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .bits import bit, iter_bits, mask_of, popcount, subset
+from .bits import (
+    bit,
+    iter_bits,
+    mask_of,
+    popcount,
+    reflexive_transitive_closure,
+    subset,
+    transpose,
+)
 from .errors import (
     NoBounds,
     NotALattice,
@@ -28,9 +35,6 @@ from .errors import (
 
 SIZE_CAP = 4096
 TABLE_CAP = 1024
-FULL_CLOSURE_VERIFY_CAP = 600
-DIST_SCAN_CAP = 160
-_SAMPLED_CLOSURE_PAIRS = 20000
 
 
 class FiniteLattice:
@@ -100,10 +104,7 @@ class FiniteLattice:
                         raise NotAPoset(
                             f"transitivity fails at {names[i]} <= {names[j]}"
                         )
-        down = [0] * n
-        for i in range(n):
-            for j in iter_bits(up[i]):
-                down[j] |= bit(i)
+        down = transpose(up)
         full = bit(n) - 1
         bottom = top = -1
         for i in range(n):
@@ -136,9 +137,9 @@ class FiniteLattice:
     ) -> "FiniteLattice":
         """Build a lattice of sets: leq is key inclusion, meet/join are &,|.
 
-        The key family must be closed under & and |; this is checked fully
-        up to FULL_CLOSURE_VERIFY_CAP elements and on a seeded sample of
-        pairs beyond that.
+        The key family must be closed under & and |.  With verify (the
+        default) every pair is checked, at every size; the first pair
+        (i, j), i < j, whose & or | is missing is the NotALattice witness.
         """
         keys = list(keys)
         n = len(keys)
@@ -155,23 +156,14 @@ class FiniteLattice:
         if bot_key not in index or top_key not in index:
             raise NoBounds("key family lacks its intersection or union")
         if verify:
-            if n <= FULL_CLOSURE_VERIFY_CAP:
-                pairs = (
-                    (i, j) for i in range(n) for j in range(i + 1, n)
-                )
-            else:
-                rng = random.Random(0)
-                pairs = (
-                    (rng.randrange(n), rng.randrange(n))
-                    for _ in range(_SAMPLED_CLOSURE_PAIRS)
-                )
-            for i, j in pairs:
-                a, b = keys[i], keys[j]
-                if a & b not in index or a | b not in index:
-                    raise NotALattice(
-                        "key family is not closed under meet/join",
-                        witness=(i, j),
-                    )
+            for i, a in enumerate(keys):
+                for j in range(i + 1, n):
+                    b = keys[j]
+                    if a & b not in index or a | b not in index:
+                        raise NotALattice(
+                            "key family is not closed under meet/join",
+                            witness=(i, j),
+                        )
         if names is None:
             names = [_key_name(k) for k in keys]
         elif len(set(names)) != n:
@@ -209,37 +201,41 @@ class FiniteLattice:
 
     def up_mask(self, a: int) -> int:
         """Bitset of all elements >= a."""
-        if self._up is not None:
-            return self._up[a]
-        ka = self.keys[a]
-        m = 0
-        for j, kj in enumerate(self.keys):
-            if subset(ka, kj):
-                m |= bit(j)
-        return m
+        if self._up is None:
+            self.materialize_rows()
+        return self._up[a]
 
     def down_mask(self, a: int) -> int:
-        if self._down is not None:
-            return self._down[a]
-        ka = self.keys[a]
-        m = 0
-        for j, kj in enumerate(self.keys):
-            if subset(kj, ka):
-                m |= bit(j)
-        return m
+        """Bitset of all elements <= a."""
+        if self._down is None:
+            self.materialize_rows()
+        return self._down[a]
 
     def materialize_rows(self) -> None:
-        """Compute and store the full order relation (keyed lattices)."""
+        """Compute and store the full order relation (keyed lattices).
+
+        For each ground point g, holds[g] is the set of elements whose key
+        contains g; the up-row of a is then the intersection of holds[g]
+        over the points g of its key.  That costs twice the total key size
+        in big-int operations instead of n² key comparisons.
+        """
         if self._up is not None:
             return
         if self.n > SIZE_CAP:
             raise TooLarge("relation rows beyond the size cap")
-        self._up = [self.up_mask(i) for i in range(self.n)]
-        down = [0] * self.n
-        for i in range(self.n):
-            for j in iter_bits(self._up[i]):
-                down[j] |= bit(i)
-        self._down = down
+        holds = {}
+        for j, kj in enumerate(self.keys):
+            for g in iter_bits(kj):
+                holds[g] = holds.get(g, 0) | bit(j)
+        full = self.full_mask
+        up = []
+        for ka in self.keys:
+            m = full
+            for g in iter_bits(ka):
+                m &= holds[g]
+            up.append(m)
+        self._up = up
+        self._down = transpose(up)
 
     # -- conveniences --------------------------------------------------
 
@@ -308,13 +304,49 @@ def _scan_bound(names, rows, a: int, b: int) -> int:
 
 
 def _build_table(names, rows) -> list:
+    """Table of _scan_bound over all pairs, in O(n²) big-int operations.
+
+    Read rows[c] as the set of elements "below" c (down rows: the order
+    itself, giving meets; up rows: its dual, giving joins).  c strictly
+    below d makes rows[c] a proper subset of rows[d], so sorting by
+    popcount(rows[c]) is a linear extension; the bits are relabelled by
+    position in it.  If cand = rows[a] & rows[b] has a greatest element g,
+    every c in cand lies below g and so sits at a lower position: g can
+    only be the highest bit of the relabelled cand.  The two exact checks
+    of _scan_bound stay (cand nonempty, cand ⊆ rows[g]), so a pair without
+    a greatest common bound still raises, and pairs are visited in the
+    same order: the first failing pair, its message and its witness are
+    those of _scan_bound.
+    """
     n = len(rows)
+    order = sorted(range(n), key=lambda c: popcount(rows[c]))
+    pos = [0] * n
+    for p, c in enumerate(order):
+        pos[c] = p
+    rel = []
+    for row in rows:
+        m = 0
+        for x in iter_bits(row):
+            m |= 1 << pos[x]
+        rel.append(m)
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         ta = table[a]
         ta[a] = a
+        ra = rel[a]
         for b in range(a + 1, n):
-            c = _scan_bound(names, rows, a, b)
+            cand = ra & rel[b]
+            if cand == 0:
+                raise NotALattice(
+                    f"{names[a]}, {names[b]} have no common bound",
+                    witness=(a, b),
+                )
+            c = order[cand.bit_length() - 1]
+            if cand & ~rel[c]:
+                raise NotALattice(
+                    f"{names[a]}, {names[b]} lack a greatest common bound",
+                    witness=(a, b),
+                )
             ta[b] = c
             table[b][a] = c
     return table
@@ -348,18 +380,12 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
     if n > SIZE_CAP:
         raise TooLarge(f"{n} elements exceeds the cap of {SIZE_CAP}")
     idx = {nm: i for i, nm in enumerate(names)}
-    rows = [bit(i) for i in range(n)]
+    rows = [0] * n
     for lo, hi in pairs:
         if lo not in idx or hi not in idx:
             raise ValueError(f"unknown element in pair [{lo!r}, {hi!r}]")
         rows[idx[lo]] |= bit(idx[hi])
-    # reflexive-transitive closure (bitset Warshall)
-    for k in range(n):
-        rk = rows[k]
-        kb = bit(k)
-        for i in range(n):
-            if rows[i] & kb:
-                rows[i] |= rk
+    rows = reflexive_transitive_closure(rows)
     for i in range(n):
         for j in iter_bits(rows[i]):
             if j != i and rows[j] >> i & 1:
@@ -390,31 +416,55 @@ def powerset_lattice(k: int, name: Optional[str] = None) -> FiniteLattice:
 
 
 def is_distributive(L: FiniteLattice, force_scan: bool = False):
-    """Exhaustive triple check of a∧(b∨c) = (a∧b)∨(a∧c).
+    """Decide a∧(b∨c) = (a∧b)∨(a∧c) for all a, b, c, exactly at every size.
 
-    Verified set lattices (keyed mode, closure-checked) are distributive
-    structurally; the scan is skipped for them above DIST_SCAN_CAP.
+    Route: L is distributive iff every join-irreducible j is join-prime
+    (j <= a∨b implies j <= a or j <= b); Birkhoff's representation
+    theorem, Davey & Priestley, Introduction to Lattices and Order (2nd
+    ed.), Thm 5.12.  j is join-prime iff j ≰ s, where s is the join of all
+    x with j ≰ x: if j ≰ s, then j ≰ a and j ≰ b give a∨b <= s, so j ≰ a∨b;
+    if j <= s, j lies below a join of elements none of which is above it,
+    so j is not join-prime.  Why the criterion holds: if L is
+    distributive and j <= a∨b, then j = j∧(a∨b) = (j∧a)∨(j∧b), and a
+    join-irreducible j equals j∧a or j∧b.  If every j is join-prime, a ↦ J↓(a) (the join-irreducibles below a) maps joins to
+    unions and meets to intersections, and it is injective since
+    a = ⋁J↓(a); L embeds in a powerset and is distributive.  Cost: |J|·n
+    joins.
+
+    When the route finds a failure, the witness is the first failing
+    triple (a, b, c) of the definitional scan, run only then.  With
+    force_scan the scan alone decides (the oracle; not memoized).
     Returns (flag, witness_triple_or_None).
     """
+    if force_scan:
+        return _distributivity_scan(L)
 
     def compute():
-        if L.keys is not None and not force_scan and L.n > DIST_SCAN_CAP:
-            return (True, None)
-        if L.n > DIST_SCAN_CAP and L.keys is None:
-            raise TooLarge("distributivity scan beyond the cap")
-        meet, join = L.meet, L.join
-        rng = range(L.n)
-        for a in rng:
-            for b in rng:
-                ab = meet(a, b)
-                for c in rng:
-                    if meet(a, join(b, c)) != join(ab, meet(a, c)):
-                        return (False, (a, b, c))
+        join = L.join
+        full = L.full_mask
+        for j in join_irreducibles(L):
+            up_j = L.up_mask(j)
+            s = L.bottom
+            for x in iter_bits(full & ~up_j):
+                s = join(s, x)
+            if up_j >> s & 1:
+                return _distributivity_scan(L)
         return (True, None)
 
-    if force_scan:
-        return compute()
     return L._memo("distributive", compute)
+
+
+def _distributivity_scan(L: FiniteLattice):
+    """Definitional triple scan; (False, first failing (a, b, c)) or (True, None)."""
+    meet, join = L.meet, L.join
+    rng = range(L.n)
+    for a in rng:
+        for b in rng:
+            ab = meet(a, b)
+            for c in rng:
+                if meet(a, join(b, c)) != join(ab, meet(a, c)):
+                    return (False, (a, b, c))
+    return (True, None)
 
 
 def _disjoint_masks(L: FiniteLattice) -> list:
@@ -632,23 +682,21 @@ def atoms(L: FiniteLattice) -> tuple:
 
 
 def join_irreducibles(L: FiniteLattice) -> tuple:
-    """Nonzero elements with exactly one lower cover."""
+    """Nonzero elements with exactly one lower cover.
+
+    In a finite lattice a has exactly one lower cover iff the elements
+    strictly below a have a greatest element m (that m is the cover), that
+    is iff down[a] minus a is itself a down-row: one set lookup per a.
+    """
 
     def compute():
         L.materialize_rows()
-        out = []
-        for a in range(L.n):
-            if a == L.bottom:
-                continue
-            strict = L._down[a] & ~bit(a)
-            covers = 0
-            for m in iter_bits(strict):
-                if L._up[m] & strict == bit(m):
-                    covers += 1
-                    if covers > 1:
-                        break
-            if covers == 1:
-                out.append(a)
-        return tuple(out)
+        down = L._down
+        rows = set(down)
+        return tuple(
+            a
+            for a in range(L.n)
+            if a != L.bottom and down[a] ^ bit(a) in rows
+        )
 
     return L._memo("join_irreducibles", compute)

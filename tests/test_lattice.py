@@ -1,11 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallman import gen
+from wallman.bits import (
+    mask_of,
+    reflexive_transitive_closure,
+    subset,
+    transpose,
+)
 from wallman.errors import NoBounds, NotALattice, NotAPoset, NotDistributive
 from wallman.lattice import (
     FiniteLattice,
+    _scan_bound,
     atoms,
     attach_bottom,
     chain_lattice,
@@ -27,6 +36,34 @@ small_lattices = st.builds(
     st.integers(1, 6),
     st.integers(0, 10**6),
 )
+
+
+@st.composite
+def closure_system_lattices(draw):
+    """Random ∩-closed set family plus the full set, ordered by inclusion,
+    loaded through from_up_rows with its ids in random order."""
+    k = draw(st.integers(1, 4))
+    full = (1 << k) - 1
+    family = set(draw(st.lists(st.integers(0, full), max_size=10))) | {full}
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    keys = draw(st.permutations(sorted(family)))
+    up = [
+        mask_of(j for j, t in enumerate(keys) if subset(s, t)) for s in keys
+    ]
+    return FiniteLattice.from_up_rows([str(s) for s in keys], up)
+
+
+def _reference_tables(names, down, up):
+    """Meet and join tables by a _scan_bound call per pair."""
+    n = len(names)
+    return tuple(
+        [[_scan_bound(names, rows, a, b) for b in range(n)] for a in range(n)]
+        for rows in (down, up)
+    )
 
 
 # -- loading ----------------------------------------------------------------
@@ -115,6 +152,136 @@ def test_boolean_examples(corpus, chain3, fivepoint):
 def test_report_witnesses_recheck(n5):
     rep = lattice_report(n5)
     assert not rep.is_distributive and "distributive" in rep.witnesses
+
+
+# -- fast routes against their oracles --------------------------------------
+
+
+def test_join_prime_route_matches_scan_on_fixtures(corpus):
+    for L in corpus.values():
+        for M in (L, opposite(L)):
+            assert is_distributive(M) == is_distributive(M, force_scan=True)
+
+
+@given(closure_system_lattices())
+@settings(max_examples=150, deadline=None)
+def test_join_prime_route_matches_scan_on_closure_systems(L):
+    assert is_distributive(L) == is_distributive(L, force_scan=True)
+
+
+def test_distributivity_exact_above_old_cap():
+    L = chain_lattice(200)
+    assert L._meet is not None  # table mode
+    assert is_distributive(L) == (True, None)
+    B = gen.boolean_algebra(8)  # keyed, 256 elements
+    assert is_distributive(B) == (True, None)
+
+
+@given(closure_system_lattices())
+@settings(max_examples=100, deadline=None)
+def test_join_irreducibles_have_one_lower_cover(L):
+    def lower_covers(a):
+        strict = L.down_mask(a) & ~(1 << a)
+        return [m for m in range(L.n) if strict >> m & 1
+                and L.up_mask(m) & strict == 1 << m]
+
+    assert join_irreducibles(L) == tuple(
+        a for a in range(L.n) if len(lower_covers(a)) == 1
+    )
+
+
+@given(closure_system_lattices())
+@settings(max_examples=100, deadline=None)
+def test_tables_match_scan_bound(L):
+    assert (L._meet, L._join) == _reference_tables(L.names, L._down, L._up)
+
+
+def test_tables_match_scan_bound_on_fixtures(corpus):
+    for L in corpus.values():
+        for M in (L, opposite(L), attach_bottom(L)):
+            assert (M._meet, M._join) == _reference_tables(
+                M.names, M._down, M._up
+            )
+
+
+def test_non_lattice_errors_match_scan_bound():
+    """Bounded random posets: the table build raises the NotALattice of the
+    per-pair reference, with the same message and witness, or neither does."""
+    outcomes = set()
+    for seed in range(120):
+        p = 2 + seed % 6
+        poset = gen.random_poset(p, seed, edge_prob=0.4)
+        n = p + 2
+        # element 0 is a new bottom, 1..p the poset, p+1 a new top
+        top = 1 << (p + 1)
+        up = [mask_of(range(n))] + [(row << 1) | top for row in poset] + [top]
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)  # ids need not be sorted
+        inv = [perm.index(i) for i in range(n)]
+        up = [mask_of(perm[j] for j in range(n) if up[inv[i]] >> j & 1)
+              for i in range(n)]
+        names = [f"e{i}" for i in range(n)]
+        try:
+            got = FiniteLattice.from_up_rows(names, up)
+        except NotALattice as e:
+            got = (str(e), e.witness)
+        try:
+            want = _reference_tables(names, transpose(up), up)
+        except NotALattice as e:
+            want = (str(e), e.witness)
+        if isinstance(got, FiniteLattice):
+            got = (got._meet, got._join)
+        assert got == want
+        outcomes.add(isinstance(want[0], str))
+    assert outcomes == {True, False}
+
+
+# -- keyed mode -------------------------------------------------------------
+
+
+@given(small_lattices)
+@settings(max_examples=40, deadline=None)
+def test_keyed_rows_match_key_inclusion(L):
+    keys = L.keys
+    assert L._up is None
+    for a in range(L.n):
+        assert L.up_mask(a) == mask_of(
+            j for j in range(L.n) if subset(keys[a], keys[j])
+        )
+        assert L.down_mask(a) == mask_of(
+            j for j in range(L.n) if subset(keys[j], keys[a])
+        )
+    assert L._up is not None  # cached after the first call
+
+
+def test_from_keys_checks_every_pair():
+    # a chain of 700 sets over {0, 1}, then {0} and {1} last: only the very
+    # last pair lacks its union {0, 1}
+    chain = [0] + [0b11 | (1 << k) - 1 << 2 for k in range(1, 701)]
+    keys = chain + [0b01, 0b10]
+    with pytest.raises(NotALattice) as info:
+        FiniteLattice.from_keys(keys)
+    assert info.value.witness == (len(keys) - 2, len(keys) - 1)
+    assert FiniteLattice.from_keys(chain + [0b01, 0b10, 0b11]).n == 704
+
+
+relations = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n)
+)
+
+
+@given(relations)
+@settings(max_examples=60, deadline=None)
+def test_bitset_relation_helpers(rows):
+    assert transpose(transpose(rows)) == rows
+    n = len(rows)
+    closed = reflexive_transitive_closure(rows)
+    reach = [[i == j or bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    assert closed == [mask_of(j for j in range(n) if reach[i][j]) for i in range(n)]
 
 
 # -- constructions ----------------------------------------------------------
