@@ -41,6 +41,18 @@ def transpose(rows) -> list:
     return out
 
 
+def union_closure(masks) -> set:
+    """Every union of a subfamily of masks, the empty union 0 included.
+
+    Over the rows of a preorder these are the sets S holding rows[x] for
+    every x in S: down-sets from down rows, up-sets from up rows.
+    """
+    out = {0}
+    for m in masks:
+        out |= {s | m for s in out}
+    return out
+
+
 def reflexive_transitive_closure(rows) -> list:
     """Smallest reflexive, transitive relation containing rows (Warshall)."""
     rows = [row | 1 << i for i, row in enumerate(rows)]

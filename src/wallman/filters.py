@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .bits import bit, iter_bits, mask_of, subset
+from .bits import bit, iter_bits, mask_of, subset, union_closure
 from .errors import (
     DegenerateLattice,
     ElementInFilter,
@@ -194,6 +194,12 @@ def is_ultra(L: FiniteLattice, F) -> bool:
     ok, wit = is_filter(L, members)
     if not ok:
         raise NotAFilter(f"not a filter: {wit}")
+    return _is_maximal(L, members)
+
+
+def _is_maximal(L: FiniteLattice, members: int) -> bool:
+    """No proper principal filter strictly contains members; the filters
+    of a finite lattice are all principal."""
     for b in range(L.n):
         if b == L.bottom:
             continue
@@ -248,7 +254,7 @@ def enumerate_filters(
                     continue
                 tag = "prime"
             elif kind == "ultra":
-                if not _is_maximal_principal(L, a):
+                if not _is_maximal(L, members):
                     continue
                 tag = "ultra"
             else:
@@ -263,7 +269,8 @@ def enumerate_filters(
                 f"exhaustive scan capped at {cap} elements (|L|={L.n})"
             )
         out = []
-        for members in sorted(_all_upsets(L)):
+        upsets = union_closure(L.up_mask(a) for a in range(L.n))
+        for members in sorted(upsets):
             if not is_filter(L, members)[0]:
                 continue
             if kind == "prime" and not _prime_scan(L, members)[0]:
@@ -276,34 +283,6 @@ def enumerate_filters(
         return out
 
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _is_maximal_principal(L: FiniteLattice, a: int) -> bool:
-    members = L.up_mask(a)
-    for b in range(L.n):
-        if b == L.bottom or b == a:
-            continue
-        up = L.up_mask(b)
-        if subset(members, up) and up != members:
-            return False
-    return True
-
-
-def _all_upsets(L: FiniteLattice):
-    L.materialize_rows()
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for x in range(L.n):
-            if cur >> x & 1:
-                continue
-            if subset(L._up[x] & ~bit(x), cur):
-                nxt = cur | bit(x)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
 
 
 # ---------------------------------------------------------------------------

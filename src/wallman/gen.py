@@ -17,6 +17,7 @@ from .bits import (
     reflexive_transitive_closure,
     subset,
     transpose,
+    union_closure,
 )
 from .covers import CoverFamily, Member, is_T0_separating
 from .errors import SizeCap
@@ -29,7 +30,7 @@ MAX_FAMILY_MEMBERS = 14
 
 
 def random_poset(n_points: int, seed: int, edge_prob: float = 0.3):
-    """Strict order on 0..n-1 as up-rows (transitively closed DAG)."""
+    """Partial order on 0..n-1 as up-rows (reflexive, transitive)."""
     if not 0 <= n_points <= MAX_POSET_POINTS:
         raise SizeCap(f"poset points capped at {MAX_POSET_POINTS}")
     rng = random.Random(seed)
@@ -44,22 +45,14 @@ def random_poset(n_points: int, seed: int, edge_prob: float = 0.3):
 def downset_lattice(
     poset_up_rows, name: Optional[str] = None
 ) -> FiniteLattice:
-    """Lattice of down-sets of a poset, in keyed mode (so distributive)."""
-    n = len(poset_up_rows)
-    down = transpose(poset_up_rows)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for x in range(n):
-            if cur >> x & 1:
-                continue
-            if subset(down[x] & ~bit(x), cur):
-                nxt = cur | bit(x)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    keys = sorted(seen, key=lambda k: (popcount(k), k))
+    """Lattice of down-sets of a poset, in keyed mode (so distributive).
+
+    poset_up_rows[x] = {y : x <= y}, reflexive and transitive (as
+    random_poset returns it); the down-sets are the unions of down rows.
+    """
+    keys = sorted(
+        union_closure(transpose(poset_up_rows)), key=lambda k: (popcount(k), k)
+    )
     return FiniteLattice.from_keys(keys, name=name, verify=False)
 
 

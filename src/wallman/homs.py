@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bits import bit
+from .bits import bit, iter_bits, union_closure
 from .errors import (
     NotAHom,
     NotComposable,
@@ -97,16 +97,21 @@ class SpaceMap:
     point_map: tuple
 
     def is_continuous(self) -> bool:
-        """Preimage of every basic closed set of the target is closed."""
-        closed = self.source.closed_family()
-        for m in self.target.a_plus:
-            pre = 0
-            for i, fi in enumerate(self.point_map):
-                if m >> fi & 1:
-                    pre |= bit(i)
-            if pre not in closed:
-                return False
-        return True
+        """f(cl{i}) ⊆ cl{f(i)} for every source point i.
+
+        A map of finite spaces is continuous iff it is monotone for the
+        specialization preorders.  If f is continuous, f⁻¹(cl{f(i)}) is
+        closed and holds i, so it holds cl{i}.  If f is monotone and C is
+        closed, f⁻¹(C) holds cl{i} with each of its points i, so it is a
+        union of closures, hence closed.
+        """
+        f = self.point_map
+        target = self.target.closures
+        return all(
+            target[f[i]] >> f[j] & 1
+            for i, c in enumerate(self.source.closures)
+            for j in iter_bits(c)
+        )
 
     def is_surjective(self) -> bool:
         return set(self.point_map) == set(range(self.target.size))
@@ -307,26 +312,18 @@ class AlexandrovResult:
 
 def alexandrov(L: FiniteLattice) -> AlexandrovResult:
     """Boolean algebra generated by {a⁺} inside the powerset of ult(L),
-    with the induced surjection of its ultrafilter space onto ult(L)."""
+    with the induced surjection of its ultrafilter space onto ult(L).
+
+    The algebra is the set of unions of its atoms, the classes of points
+    that lie in the same sets a⁺.  Points i and j share them iff
+    cl{i} = cl{j} (i in a⁺ iff cl{i} ⊆ a⁺), so the classes are read off
+    the point closures.
+    """
     space = build_space(L, "ultra")
-    full = space.full
-    masks = set(space.a_plus) | {0, full}
-    while True:
-        items = list(masks)
-        new = set()
-        for i, x in enumerate(items):
-            c = full & ~x
-            if c not in masks:
-                new.add(c)
-            for y in items[i + 1 :]:
-                if x & y not in masks:
-                    new.add(x & y)
-                if x | y not in masks:
-                    new.add(x | y)
-        if not new:
-            break
-        masks |= new
-    keys = sorted(masks)
+    classes = {}
+    for i, c in enumerate(space.closures):
+        classes[c] = classes.get(c, 0) | bit(i)
+    keys = sorted(union_closure(classes.values()))
     B = FiniteLattice.from_keys(
         keys, name=f"bool({L.name})" if L.name else "bool", verify=False
     )

@@ -418,18 +418,15 @@ def powerset_lattice(k: int, name: Optional[str] = None) -> FiniteLattice:
 def is_distributive(L: FiniteLattice, force_scan: bool = False):
     """Decide a∧(b∨c) = (a∧b)∨(a∧c) for all a, b, c, exactly at every size.
 
-    Route: L is distributive iff every join-irreducible j is join-prime
-    (j <= a∨b implies j <= a or j <= b); Birkhoff's representation
-    theorem, Davey & Priestley, Introduction to Lattices and Order (2nd
-    ed.), Thm 5.12.  j is join-prime iff j ≰ s, where s is the join of all
-    x with j ≰ x: if j ≰ s, then j ≰ a and j ≰ b give a∨b <= s, so j ≰ a∨b;
-    if j <= s, j lies below a join of elements none of which is above it,
-    so j is not join-prime.  Why the criterion holds: if L is
+    Route: L is distributive iff every join-irreducible is join-prime,
+    that is iff join_primes(L) == join_irreducibles(L); Birkhoff's
+    representation theorem, Davey & Priestley, Introduction to Lattices
+    and Order (2nd ed.), Thm 5.12.  Why the criterion holds: if L is
     distributive and j <= a∨b, then j = j∧(a∨b) = (j∧a)∨(j∧b), and a
-    join-irreducible j equals j∧a or j∧b.  If every j is join-prime, a ↦ J↓(a) (the join-irreducibles below a) maps joins to
-    unions and meets to intersections, and it is injective since
-    a = ⋁J↓(a); L embeds in a powerset and is distributive.  Cost: |J|·n
-    joins.
+    join-irreducible j equals j∧a or j∧b.  If every j is join-prime,
+    a ↦ J↓(a) (the join-irreducibles below a) maps joins to unions and
+    meets to intersections, and it is injective since a = ⋁J↓(a); L
+    embeds in a powerset and is distributive.  Cost: |J|·n joins.
 
     When the route finds a failure, the witness is the first failing
     triple (a, b, c) of the definitional scan, run only then.  With
@@ -440,15 +437,8 @@ def is_distributive(L: FiniteLattice, force_scan: bool = False):
         return _distributivity_scan(L)
 
     def compute():
-        join = L.join
-        full = L.full_mask
-        for j in join_irreducibles(L):
-            up_j = L.up_mask(j)
-            s = L.bottom
-            for x in iter_bits(full & ~up_j):
-                s = join(s, x)
-            if up_j >> s & 1:
-                return _distributivity_scan(L)
+        if join_primes(L) != join_irreducibles(L):
+            return _distributivity_scan(L)
         return (True, None)
 
     return L._memo("distributive", compute)
@@ -700,3 +690,29 @@ def join_irreducibles(L: FiniteLattice) -> tuple:
         )
 
     return L._memo("join_irreducibles", compute)
+
+
+def join_primes(L: FiniteLattice) -> tuple:
+    """Elements j > 0 with j <= a∨b only if j <= a or j <= b, in id order.
+
+    j is join-prime iff j ≰ s, the join of all x with j ≰ x: if j ≰ s,
+    j ≰ a and j ≰ b give a∨b <= s; if j <= s, j lies below a join of
+    elements none of which is above it.  Join-primes are join-irreducible
+    (j = a∨b with a, b < j breaks the law), so only J(L) is tested:
+    |J|·n joins.
+    """
+
+    def compute():
+        join = L.join
+        full = L.full_mask
+        out = []
+        for j in join_irreducibles(L):
+            up_j = L.up_mask(j)
+            s = L.bottom
+            for x in iter_bits(full & ~up_j):
+                s = join(s, x)
+            if not up_j >> s & 1:
+                out.append(j)
+        return tuple(out)
+
+    return L._memo("join_primes", compute)

@@ -1,42 +1,59 @@
 """Finite Wallman spaces: prime-filter and ultrafilter spaces of a lattice.
 
 Points are filters; the topology is generated by the open sets a⁻ (filters
-not containing a).  Topologies are stored as families of closed point
-bitsets, materialized by closing the basic family {a⁺} under intersection.
+not containing a).  A finite space is fixed by its specialization preorder
+(Alexandrov 1937; Barmak, Algebraic Topology of Finite Topological Spaces,
+LNM 2032, ch. 1), so a space stores the closure cl{i} of each point and
+every topological verdict is read off these closures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
-from .bits import bit, iter_bits, subset
-from .errors import NotDistributive, NotGenerating, TooLarge
+from .bits import bit, iter_bits, subset, transpose, union_closure
+from .errors import (
+    DegenerateLattice,
+    NotDistributive,
+    NotGenerating,
+    PreconditionFailed,
+    TooLarge,
+)
 from .filters import (
     FilterSet,
-    _prime_scan,
     enumerate_filters,
     generated_filter,
     is_ultra,
 )
 from .lattice import (
     FiniteLattice,
+    atoms,
     is_boolean,
     is_distributive,
     is_generating,
     is_normal,
     is_separative,
+    join_primes,
 )
 
 
 @dataclass(frozen=True)
 class WallmanSpace:
-    """Point set of filters with the closed base {a⁺ : a in L}."""
+    """Point set of filters with the closed base {a⁺ : a in L}.
+
+    Point i is the principal filter ↑gᵢ, and cl{i} = gᵢ⁺: i is in gᵢ⁺, and
+    i in a⁺ means gᵢ <= a, so gᵢ⁺ ⊆ a⁺.  The closed sets are the finite
+    unions of basic sets (a⁺ ∩ b⁺ = (a∧b)⁺, ∅ = 0⁺, all points = 1⁺), so
+    they are the unions of point closures.
+    """
 
     lattice: FiniteLattice
     kind: str  # "prime" or "ultra"
     points: tuple  # FilterSet, ordered by filter-minimum id
     a_plus: tuple  # per lattice element: bitset of point indices
+    closures: tuple  # per point i: bitset cl{i}
 
     @property
     def size(self) -> int:
@@ -50,24 +67,8 @@ class WallmanSpace:
         return self.full & ~self.a_plus[a]
 
     def closed_family(self) -> frozenset:
-        """All closed sets of the generated topology.
-
-        The closed subbase is {a⁺}; closure under intersection and union
-        yields every closed set of the finite space.  For prime points both
-        operations collapse into the base itself via the hom law.
-        """
-        fam = set(self.a_plus) | {self.full}
-        while True:
-            new = set()
-            items = list(fam)
-            for i, x in enumerate(items):
-                for y in items[i + 1 :]:
-                    for z in (x & y, x | y):
-                        if z not in fam:
-                            new.add(z)
-            if not new:
-                return frozenset(fam)
-            fam |= new
+        """All closed sets: the unions of point closures."""
+        return frozenset(union_closure(self.closures))
 
     def point_label(self, i: int) -> str:
         gen = self.points[i].min_element()
@@ -83,33 +84,41 @@ class SeparationReport:
 
 
 def build_space(L: FiniteLattice, kind: str = "ultra") -> WallmanSpace:
+    """The prime-filter (kind="prime") or ultrafilter space of L.
+
+    Every filter of a finite lattice is principal, ↑g with g > 0.  ↑g is
+    prime iff g is join-prime: a, b outside ↑g with a∨b in ↑g is word for
+    word a failure of join-primality of g.  ↑g is maximal among proper
+    filters iff g is an atom, since ↑g ⊊ ↑b iff b < g.  Neither fact needs
+    distributivity.  Points are ordered by generator id, as
+    enumerate_filters(L, kind, "brute") lists them; a⁺ = {i : gᵢ <= a}.
+    """
     if kind not in ("prime", "ultra"):
         raise ValueError(f"unknown space kind {kind!r}")
-    pts = enumerate_filters(L, kind, "brute")
-    pts.sort(key=lambda f: f.min_element())
-    a_plus = []
-    for a in range(L.n):
-        m = 0
-        for i, p in enumerate(pts):
-            if p.members >> a & 1:
-                m |= bit(i)
-        a_plus.append(m)
-    space = WallmanSpace(L, kind, tuple(pts), tuple(a_plus))
-    _check_hom_law(space)
+    if L.bottom == L.top:
+        raise DegenerateLattice("filters need 0 != 1")
+    gens = join_primes(L) if kind == "prime" else atoms(L)
+    points = tuple(FilterSet(L, L.up_mask(g), kind=kind) for g in gens)
+    a_plus = [0] * L.n
+    for i, p in enumerate(points):
+        for a in iter_bits(p.members):
+            a_plus[a] |= bit(i)
+    closures = tuple(a_plus[g] for g in gens)
+    space = WallmanSpace(L, kind, points, tuple(a_plus), closures)
+    _check_hom_law(space, set(gens) <= set(join_primes(L)))
     return space
 
 
-def _check_hom_law(S: WallmanSpace) -> None:
+def _check_hom_law(S: WallmanSpace, all_prime: bool) -> None:
     """a ↦ a⁺ must be a lattice homomorphism into the powerset of points.
 
     The meet half holds for any filter points; the join half is exactly
-    primality of the points, so it is skipped when some point is not prime
+    primality of the points, so it is skipped unless all_prime
     (ultrafilters of a non-distributive lattice need not be prime).
     """
     L = S.lattice
     assert S.a_plus[L.bottom] == 0, "0+ must be empty"
     assert S.a_plus[L.top] == S.full, "1+ must be everything"
-    all_prime = all(_prime_scan(L, p.members)[0] for p in S.points)
     for a in range(L.n):
         for b in range(a, L.n):
             assert S.a_plus[L.meet(a, b)] == S.a_plus[a] & S.a_plus[b]
@@ -118,46 +127,29 @@ def _check_hom_law(S: WallmanSpace) -> None:
 
 
 def separation_axioms(S: WallmanSpace) -> SeparationReport:
-    """T0/T1/T2 by definition on the finite topology."""
-    n = S.size
-    witnesses = {}
-    t0 = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not any(
-                (m >> i & 1) != (m >> j & 1) for m in S.a_plus
-            ):
-                t0 = False
-                witnesses["t0"] = (i, j)
-                break
-        if not t0:
+    """T0/T1/T2 from the point closures.
+
+    i in a⁺ iff cl{i} ⊆ a⁺, so two points lie in the same basic sets iff
+    their closures are equal: T0 fails at the first such pair.  The
+    intersection of the basic sets holding i is cl{i}, so T1 fails at the
+    first i with cl{i} ≠ {i}, witnessed by its lowest other point.  Every
+    open set holding i contains Uᵢ = {j : i in cl{j}}, which is open (its
+    complement is a union of closures), so i and j have disjoint
+    neighbourhoods iff Uᵢ ∩ Uⱼ = ∅; T2 fails at the first pair that meets.
+    """
+    cl = S.closures
+    pairs = list(combinations(range(S.size), 2))  # lexicographic
+    t0 = next(((i, j) for i, j in pairs if cl[i] == cl[j]), None)
+    t1 = None
+    for i, c in enumerate(cl):
+        if c != bit(i):
+            t1 = (i, next(iter_bits(c ^ bit(i))))
             break
-    t1 = True
-    for i in range(n):
-        common = S.full
-        for m in S.a_plus:
-            if m >> i & 1:
-                common &= m
-        if common != bit(i):
-            t1 = False
-            j = next(k for k in iter_bits(common) if k != i)
-            witnesses["t1"] = (i, j)
-            break
-    hausdorff = True
-    opens = [S.full & ~c for c in S.closed_family()]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not any(
-                u >> i & 1 and v >> j & 1 and u & v == 0
-                for u in opens
-                for v in opens
-            ):
-                hausdorff = False
-                witnesses["hausdorff"] = (i, j)
-                break
-        if not hausdorff:
-            break
-    return SeparationReport(t0, t1, hausdorff, witnesses)
+    nbhd = transpose(cl)
+    t2 = next(((i, j) for i, j in pairs if nbhd[i] & nbhd[j]), None)
+    found = (("t0", t0), ("t1", t1), ("hausdorff", t2))
+    witnesses = {k: w for k, w in found if w is not None}
+    return SeparationReport(t0 is None, t1 is None, t2 is None, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +198,12 @@ def theorem_suite(L: FiniteLattice) -> SuiteReport:
     ult_sep = separation_axioms(ult)
     boolean = is_boolean(L)
     normal, _ = is_normal(L, require_distributive=False)
-    closed_basic = pf.closed_family() == frozenset(pf.a_plus) | {pf.full}
+    # The closed sets are the unions of point closures and 0⁺ = ∅, so they
+    # are all basic iff the basic sets are closed under ∪ with each closure.
+    plus = set(pf.a_plus)
+    closed_basic = pf.full in plus and all(
+        x | c in plus for x in plus for c in pf.closures
+    )
     ult_eq_pf = {p.members for p in ult.points} == {
         p.members for p in pf.points
     }
@@ -243,7 +240,8 @@ def ultrafilter_generated_by(L: FiniteLattice, G: Iterable[int], p) -> bool:
     if not is_generating(L, G):
         raise NotGenerating("the given set does not generate the lattice")
     members = p.members if isinstance(p, FilterSet) else p
-    assert is_ultra(L, members), "p must be an ultrafilter"
+    if not is_ultra(L, members):
+        raise PreconditionFailed("p must be an ultrafilter", failed=("ultra",))
     trace = [g for g in G if members >> g & 1]
     return generated_filter(L, trace).members == members
 

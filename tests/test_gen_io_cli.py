@@ -38,6 +38,18 @@ def test_downset_lattices_distributive():
         assert is_distributive(L, force_scan=True)[0]
 
 
+def test_downset_lattice_keys_are_downsets():
+    for seed in range(20):
+        rows = gen.random_poset(6, seed, edge_prob=0.4)
+        below = [sum(1 << y for y in range(6) if rows[y] >> x & 1) for x in range(6)]
+        downsets = [
+            s
+            for s in range(1 << 6)
+            if all(below[x] & ~s == 0 for x in range(6) if s >> x & 1)
+        ]
+        assert sorted(gen.downset_lattice(rows).keys) == downsets
+
+
 def test_boolean_algebra():
     B = gen.boolean_algebra(3)
     assert B.n == 8 and is_boolean(B)

@@ -1,11 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lattice import closure_system_lattices
+from test_spaces import ref_closed_family
 
 from wallman import gen
 from wallman.errors import NotComposable, PreconditionFailed
+from wallman.filters import is_prime
 from wallman.homs import (
     LatticeHom,
+    SpaceMap,
     alexandrov,
     compose,
     embedding_from_separation,
@@ -18,7 +24,8 @@ from wallman.homs import (
     surjectivity_from_kernel,
     verify_hom,
 )
-from wallman.lattice import is_boolean
+from wallman.lattice import is_boolean, opposite
+from wallman.spaces import build_space
 
 
 def hom_by_names(src, tgt, pairs):
@@ -213,3 +220,89 @@ def test_alexandrov_corpus(corpus):
         assert is_boolean(res.algebra)
         assert res.onto.is_surjective()
         assert verify_hom(res.hom)[0]
+
+
+# -- closure routes against definitional references --------------------------
+
+
+def ref_continuous(sm):
+    """The preimage of every basic closed set of the target is closed."""
+    closed = ref_closed_family(sm.source)
+    return all(
+        sum(1 << i for i, fi in enumerate(sm.point_map) if m >> fi & 1) in closed
+        for m in sm.target.a_plus
+    )
+
+
+def check_continuity(spaces, rng):
+    """is_continuous against the reference on the identity, the constant
+    maps and random point maps between every pair of spaces; returns the
+    set of verdicts seen."""
+    seen = set()
+    for S in spaces:
+        for T in spaces:
+            if not T.size:
+                continue
+            maps = [
+                tuple(rng.randrange(T.size) for _ in range(S.size)) for _ in range(6)
+            ]
+            maps += [(t,) * S.size for t in range(T.size)]
+            if S is T:
+                maps.append(tuple(range(S.size)))
+            for pm in maps:
+                sm = SpaceMap(S, T, pm)
+                verdict = sm.is_continuous()
+                assert verdict == ref_continuous(sm), (S.lattice, T.lattice, pm)
+                seen.add(verdict)
+    return seen
+
+
+def test_continuity_on_fixtures(corpus):
+    lattices = [M for L in corpus.values() for M in (L, opposite(L)) if M.n > 1]
+    spaces = [build_space(L, kind) for L in lattices for kind in ("prime", "ultra")]
+    assert check_continuity(spaces, random.Random(0)) == {True, False}
+
+
+@given(st.lists(closure_system_lattices(), min_size=1, max_size=3), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_continuity_on_closure_systems(lattices, rng):
+    spaces = [
+        build_space(L, kind) for L in lattices if L.n > 1 for kind in ("prime", "ultra")
+    ]
+    check_continuity(spaces, rng)
+
+
+def ref_algebra_keys(S):
+    """{a⁺}, 0 and the full set, closed under complement, ∩ and ∪."""
+    masks = set(S.a_plus) | {0, S.full}
+    while True:
+        new = {S.full & ~x for x in masks}
+        new |= {z for x in masks for y in masks for z in (x & y, x | y)}
+        if new <= masks:
+            return sorted(masks)
+        masks |= new
+
+
+def check_alexandrov(L):
+    """alexandrov's algebra against the reference; where some ultrafilter
+    is not prime, a ↦ a⁺ is no homomorphism and alexandrov raises."""
+    if L.n == 1:
+        return
+    S = build_space(L, "ultra")
+    if all(is_prime(L, p)[0] for p in S.points):
+        assert list(alexandrov(L).algebra.keys) == ref_algebra_keys(S)
+    else:
+        with pytest.raises(AssertionError):
+            alexandrov(L)
+
+
+def test_alexandrov_keys_on_fixtures(corpus):
+    for L in corpus.values():
+        check_alexandrov(L)
+        check_alexandrov(opposite(L))
+
+
+@given(closure_system_lattices())
+@settings(max_examples=100, deadline=None)
+def test_alexandrov_keys_on_closure_systems(L):
+    check_alexandrov(L)

@@ -1,12 +1,19 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lattice import closure_system_lattices
 
 from wallman import gen
-from wallman.errors import NotDistributive, NotGenerating
-from wallman.filters import enumerate_filters
-from wallman.lattice import atoms, is_distributive
+from wallman.errors import (
+    DegenerateLattice,
+    NotDistributive,
+    NotGenerating,
+    PreconditionFailed,
+)
+from wallman.filters import enumerate_filters, principal_filter
+from wallman.lattice import atoms, is_distributive, opposite
 from wallman.spaces import (
+    SeparationReport,
     alexander_check,
     build_space,
     finite_separative_is_boolean,
@@ -128,6 +135,15 @@ def test_ultrafilter_generated_by(powerset3, fivepoint):
     assert ultrafilter_generated_by(fivepoint, [a, b], p_a)
 
 
+def test_ultrafilter_generated_by_needs_ultra(powerset3):
+    P = powerset3
+    coatom = next(a for a in range(P.n) if P.up_mask(a).bit_count() == 2)
+    p = principal_filter(P, coatom)
+    with pytest.raises(PreconditionFailed) as exc:
+        ultrafilter_generated_by(P, range(P.n), p)
+    assert exc.value.failed == ("ultra",)
+
+
 def test_not_generating(powerset3):
     p = enumerate_filters(powerset3, "ultra", "brute")[0]
     with pytest.raises(NotGenerating):
@@ -149,3 +165,81 @@ def test_alexander_on_random_lattices(L):
         return
     assert is_distributive(L)[0]
     assert alexander_check(L, range(L.n))
+
+
+# -- closure routes against definitional references --------------------------
+
+
+def ref_closed_family(S):
+    """Every closed set: the basic sets a⁺ and the full set, closed under
+    pairwise ∩ and ∪ until nothing new appears."""
+    fam = set(S.a_plus) | {S.full}
+    while True:
+        new = {z for x in fam for y in fam for z in (x & y, x | y)} - fam
+        if not new:
+            return frozenset(fam)
+        fam |= new
+
+
+def ref_separation(S):
+    """T0 by the basic sets, T1 by the intersection of the basic sets
+    around each point, T2 by a pair of disjoint opens for each pair."""
+    n = S.size
+    witnesses = {}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        if all((m >> i & 1) == (m >> j & 1) for m in S.a_plus):
+            witnesses["t0"] = (i, j)
+            break
+    for i in range(n):
+        common = S.full
+        for m in S.a_plus:
+            if m >> i & 1:
+                common &= m
+        if common != 1 << i:
+            others = [k for k in range(n) if k != i and common >> k & 1]
+            witnesses["t1"] = (i, others[0])
+            break
+    opens = [S.full & ~c for c in ref_closed_family(S)]
+    for i, j in pairs:
+        if not any(
+            u >> i & 1 and v >> j & 1 and u & v == 0 for u in opens for v in opens
+        ):
+            witnesses["hausdorff"] = (i, j)
+            break
+    t0, t1, t2 = (k not in witnesses for k in ("t0", "t1", "hausdorff"))
+    return SeparationReport(t0, t1, t2, witnesses)
+
+
+def check_space_routes(L):
+    """build_space and separation_axioms against the references, both kinds."""
+    if L.n == 1:
+        with pytest.raises(DegenerateLattice):
+            build_space(L, "prime")
+        return
+    for kind in ("prime", "ultra"):
+        S = build_space(L, kind)
+        brute = enumerate_filters(L, kind, "brute")
+        assert [(p.members, p.kind) for p in S.points] == [
+            (p.members, p.kind) for p in brute
+        ]
+        assert list(S.a_plus) == [
+            sum(1 << i for i, p in enumerate(brute) if p.members >> a & 1)
+            for a in range(L.n)
+        ]
+        assert S.closed_family() == ref_closed_family(S)
+        rep, ref = separation_axioms(S), ref_separation(S)
+        assert rep == ref
+        assert list(rep.witnesses) == list(ref.witnesses)
+
+
+def test_space_routes_on_fixtures(corpus):
+    for L in corpus.values():
+        check_space_routes(L)
+        check_space_routes(opposite(L))
+
+
+@given(closure_system_lattices())
+@settings(max_examples=150, deadline=None)
+def test_space_routes_on_closure_systems(L):
+    check_space_routes(L)
