@@ -227,6 +227,10 @@ def cmd_cert(args) -> int:
             report["witness"] = [F.ground[x] for x in wit]
             code = 1
     elif args.sub == "ord":
+        if args.point is None:
+            raise ValueError("cert ord needs --point")
+        if args.point not in F.ground:
+            raise ValueError(f"--point {args.point!r} is not a ground point")
         x = F.point_id(args.point)
         report["point"] = args.point
         report["ord"] = covers.ord_count(x, F.members)

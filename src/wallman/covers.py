@@ -55,18 +55,16 @@ class CoverFamily:
     members: tuple  # Member entries; an id may recur across groups
 
     def __post_init__(self):
-        seen = {}
+        seen = set()
+        first: dict = {}  # id -> its first entry
         for m in self.members:
             if m.points >> len(self.ground):
                 raise ValueError(f"{m.id!r} leaves the ground set")
             key = (m.id, m.group)
             if key in seen:
                 raise ValueError(f"duplicate entry {key}")
-            seen[key] = m
-            first = next(
-                e for e in self.members if e.id == m.id
-            )
-            if first.points != m.points:
+            seen.add(key)
+            if first.setdefault(m.id, m).points != m.points:
                 raise ValueError(
                     f"entries named {m.id!r} disagree on their point set"
                 )
@@ -113,6 +111,26 @@ def is_T0_separating(F: CoverFamily):
 # centered subcollections
 
 
+def _centered(
+    labels: Sequence, points: Sequence[int], ground_mask: int
+) -> list:
+    """Every centered choice of members, as (label tuple, intersection) in
+    depth-first pop order, the empty choice first; labels[i] names the
+    member with point set points[i]."""
+    if len(points) > _CENTERED_ENUM_CAP:
+        raise TooLarge("too many members for centered enumeration")
+    out = []
+    stack = [((), ground_mask, 0)]
+    while stack:
+        chosen, inter, start = stack.pop()
+        out.append((chosen, inter))
+        for i in range(start, len(points)):
+            nxt = inter & points[i]
+            if nxt:
+                stack.append((chosen + (labels[i],), nxt, i + 1))
+    return out
+
+
 @dataclass(frozen=True)
 class CenteredRankReport:
     max_centered_size: int
@@ -131,18 +149,11 @@ def centered_poset_rank(
     as the finite-scale point-finiteness figure.
     """
     members = list(members)
-    if len(members) > _CENTERED_ENUM_CAP:
-        raise TooLarge("centered subcollection scan beyond the cap")
-    best: tuple = ()
-    stack = [((), ground_mask, 0)]
-    while stack:
-        chosen, inter, start = stack.pop()
-        if len(chosen) > len(best):
-            best = chosen
-        for i in range(start, len(members)):
-            nxt = inter & members[i].points
-            if nxt:
-                stack.append((chosen + (i,), nxt, i + 1))
+    points = [m.points for m in members]
+    best, _ = max(
+        _centered(range(len(members)), points, ground_mask),
+        key=lambda pair: len(pair[0]),
+    )
     chain = tuple(best[:k] for k in range(len(best), 0, -1))
     max_ord = max(
         (ord_count(x, members) for x in iter_bits(ground_mask)),
@@ -250,7 +261,15 @@ def gulko_lt(
             raise InvalidNode(f"node {node} is not centered")
     s, k = a
     t, l = b
-    if not (s <= t and k < l):
+    return k < l and _step(phi, u, mode, s, k, t)
+
+
+def _step(
+    phi: dict, u: str, mode: str, s: frozenset, k: int, t: frozenset
+) -> bool:
+    """s ⊆ t, and every m in phi(u) below k is hit by some v in t∖s: the
+    order on nodes without its counter test k < l."""
+    if not s <= t:
         return False
     fresh = t - s
     for m in phi[u]:
@@ -259,9 +278,8 @@ def gulko_lt(
         if mode == "membership":
             if not any(m in phi[v] for v in fresh):
                 return False
-        else:
-            if not any(phi[v] == frozenset((m,)) for v in fresh):
-                return False
+        elif not any(phi[v] == frozenset((m,)) for v in fresh):
+            return False
     return True
 
 
@@ -302,55 +320,25 @@ def gulko_lt_brute(
 
 def centered_subsets(F: CoverFamily) -> list:
     """All centered id sets, as (frozenset, intersection mask) pairs."""
-    ids = sorted(F.by_id())
-    if len(ids) > _CENTERED_ENUM_CAP:
-        raise TooLarge("too many members for centered enumeration")
     by_id = F.by_id()
-    out = []
-    stack = [((), F.ground_mask, 0)]
-    while stack:
-        chosen, inter, start = stack.pop()
-        out.append((frozenset(chosen), inter))
-        for i in range(start, len(ids)):
-            nxt = inter & by_id[ids[i]].points
-            if nxt:
-                stack.append((chosen + (ids[i],), nxt, i + 1))
-    return out
+    ids = sorted(by_id)
+    pairs = _centered(ids, [by_id[v].points for v in ids], F.ground_mask)
+    return [(frozenset(chosen), inter) for chosen, inter in pairs]
 
 
-def max_increasing_chain(
-    F: CoverFamily,
-    phi: dict,
-    u: str,
-    k_cap: int,
-    mode: str = "membership",
-):
-    """Longest <-increasing node chain with all counters <= k_cap.
+def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
+    """rank_at(cap): the longest chain with all counters <= cap.
 
     Depth-first search over centered sets with memoization on (set, k).
     Successor counters are taken as k+1 only: lowering a successor's
     counter weakens every later covering requirement while preserving
-    order, so minimal increments are dominant.  Warns when the value is
-    still growing at the cap.
+    order, so minimal increments are dominant.  The centered sets are
+    enumerated once and shared by every cap; of equally long chains the
+    first found, in centered_subsets order, is kept.
     """
     if u not in phi:
         raise KeyError(f"no phi value for {u!r}")
     set_ids = [s for s, _ in centered_subsets(F)]
-
-    def step_ok(s: frozenset, k: int, t: frozenset) -> bool:
-        if not s <= t:
-            return False
-        fresh = t - s
-        for m in phi[u]:
-            if m >= k:
-                continue
-            if mode == "membership":
-                if not any(m in phi[v] for v in fresh):
-                    return False
-            else:
-                if not any(phi[v] == frozenset((m,)) for v in fresh):
-                    return False
-        return True
 
     def rank_at(cap: int):
         memo: dict = {}
@@ -362,7 +350,7 @@ def max_increasing_chain(
             best_len, best_tail = 1, ((s, k),)
             if k < cap:
                 for t in set_ids:
-                    if step_ok(s, k, t):
+                    if _step(phi, u, mode, s, k, t):
                         ln, tail = chain_from(t, k + 1)
                         if ln + 1 > best_len:
                             best_len, best_tail = ln + 1, ((s, k),) + tail
@@ -377,14 +365,25 @@ def max_increasing_chain(
                     best = cand
         return best
 
+    return rank_at
+
+
+def max_increasing_chain(
+    F: CoverFamily,
+    phi: dict,
+    u: str,
+    k_cap: int,
+    mode: str = "membership",
+):
+    """Longest <-increasing node chain with all counters <= k_cap; warns
+    when the value is still growing at the cap."""
+    rank_at = _chain_search(F, phi, u, mode)
     length, chain = rank_at(k_cap)
-    if k_cap > 0:
-        prev_len, _ = rank_at(k_cap - 1)
-        if prev_len != length:
-            warnings.warn(
-                f"chain length still growing at k_cap={k_cap}",
-                CapTooSmallWarning,
-            )
+    if k_cap > 0 and rank_at(k_cap - 1)[0] != length:
+        warnings.warn(
+            f"chain length still growing at k_cap={k_cap}",
+            CapTooSmallWarning,
+        )
     return length, chain
 
 
@@ -422,12 +421,12 @@ def stabilized_rank(
     The value stops changing for caps >= max(phi(u)) + |members| + 1; this
     is verified by re-running two caps further out.
     """
-    n_members = len(F.by_id())
-    cap = max(phi[u]) + n_members + 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CapTooSmallWarning)
-        length, chain = max_increasing_chain(F, phi, u, cap, mode)
-        again, _ = max_increasing_chain(F, phi, u, cap + 2, mode)
+    rank_at = _chain_search(F, phi, u, mode)
+    if not phi[u]:
+        raise EmptyPhiValue(f"phi value for {u!r} is empty")
+    cap = max(phi[u]) + len(F.by_id()) + 1
+    length, chain = rank_at(cap)
+    again, _ = rank_at(cap + 2)
     assert again == length, "rank failed to stabilize at the derived cap"
     return length, chain
 

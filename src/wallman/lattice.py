@@ -80,7 +80,6 @@ class FiniteLattice:
         up_rows: Sequence[int],
         name: Optional[str] = None,
         check: bool = True,
-        build_tables: bool = True,
     ) -> "FiniteLattice":
         """Build from the full order relation (up_rows[i] = {j : i <= j})."""
         n = len(names)
@@ -122,7 +121,7 @@ class FiniteLattice:
         obj.top = top
         obj._up = up
         obj._down = down
-        if build_tables and n <= TABLE_CAP:
+        if n <= TABLE_CAP:
             obj._meet = _build_table(names, down)
             obj._join = _build_table(names, up)
         return obj

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -5,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallman import gen
+from wallman.bits import iter_bits
 from wallman.covers import (
+    _CENTERED_ENUM_CAP,
     CapTooSmallWarning,
+    CenteredRankReport,
     CoverFamily,
     Member,
     cantor_pair,
@@ -27,7 +31,7 @@ from wallman.covers import (
     weakly_sigma_point_finite,
     wiec_refinement,
 )
-from wallman.errors import InvalidNode, MissingStages
+from wallman.errors import EmptyPhiValue, InvalidNode, MissingStages, TooLarge
 
 staged_families = st.builds(
     gen.random_staged_family,
@@ -76,6 +80,39 @@ def _points(m):
             yield i
         i += 1
         w >>= 1
+
+
+def test_family_rejects_bad_entries():
+    with pytest.raises(ValueError, match="^'v' leaves the ground set$"):
+        CoverFamily(("x",), (Member("u", 0b1, 0), Member("v", 0b10, 0)))
+    with pytest.raises(ValueError, match=r"^duplicate entry \('u', 0\)$"):
+        CoverFamily(("x",), (Member("u", 0b1, 0), Member("u", 0b1, 0)))
+    with pytest.raises(
+        ValueError, match="^entries named 'u' disagree on their point set$"
+    ):
+        CoverFamily(
+            ("x", "y"),
+            (Member("u", 0b01, 0), Member("v", 0b11, 0), Member("u", 0b11, 1)),
+        )
+
+
+def test_family_error_order():
+    # the first bad entry decides, whatever faults follow it
+    with pytest.raises(ValueError, match="leaves the ground set"):
+        CoverFamily(
+            ("x", "y"),
+            (Member("u", 0b01, 0), Member("w", 0b100, 0), Member("u", 0b01, 0)),
+        )
+    with pytest.raises(ValueError, match="duplicate entry"):
+        CoverFamily(
+            ("x", "y"),
+            (Member("u", 0b01, 0), Member("u", 0b01, 0), Member("u", 0b10, 1)),
+        )
+    with pytest.raises(ValueError, match="disagree"):
+        CoverFamily(
+            ("x", "y"),
+            (Member("u", 0b01, 0), Member("u", 0b10, 1), Member("u", 0b01, 0)),
+        )
 
 
 def test_t0_separating():
@@ -316,3 +353,191 @@ def test_cantor_pair_injective():
             v = cantor_pair(a, b)
             assert v not in seen
             seen[v] = (a, b)
+
+
+# -- the rank search against its earlier form --------------------------------
+#
+# Verbatim copies of centered_subsets, centered_poset_rank and
+# max_increasing_chain as they stood when each wrote its own centered-set
+# scan and its own copy of the order step.  The shared-scan versions must
+# return the same lists, chains and warnings, ties included.
+
+
+def ref_centered_poset_rank(
+    members, ground_mask: int
+) -> CenteredRankReport:
+    members = list(members)
+    if len(members) > _CENTERED_ENUM_CAP:
+        raise TooLarge("centered subcollection scan beyond the cap")
+    best: tuple = ()
+    stack = [((), ground_mask, 0)]
+    while stack:
+        chosen, inter, start = stack.pop()
+        if len(chosen) > len(best):
+            best = chosen
+        for i in range(start, len(members)):
+            nxt = inter & members[i].points
+            if nxt:
+                stack.append((chosen + (i,), nxt, i + 1))
+    chain = tuple(best[:k] for k in range(len(best), 0, -1))
+    max_ord = max(
+        (ord_count(x, members) for x in iter_bits(ground_mask)),
+        default=0,
+    )
+    assert len(best) == max_ord or not members, (
+        "centered maximum must match the ord maximum on a finite ground"
+    )
+    return CenteredRankReport(len(best), chain, max_ord)
+
+
+def ref_centered_subsets(F: CoverFamily) -> list:
+    ids = sorted(F.by_id())
+    if len(ids) > _CENTERED_ENUM_CAP:
+        raise TooLarge("too many members for centered enumeration")
+    by_id = F.by_id()
+    out = []
+    stack = [((), F.ground_mask, 0)]
+    while stack:
+        chosen, inter, start = stack.pop()
+        out.append((frozenset(chosen), inter))
+        for i in range(start, len(ids)):
+            nxt = inter & by_id[ids[i]].points
+            if nxt:
+                stack.append((chosen + (ids[i],), nxt, i + 1))
+    return out
+
+
+def ref_max_increasing_chain(
+    F: CoverFamily,
+    phi: dict,
+    u: str,
+    k_cap: int,
+    mode: str = "membership",
+):
+    if u not in phi:
+        raise KeyError(f"no phi value for {u!r}")
+    set_ids = [s for s, _ in ref_centered_subsets(F)]
+
+    def step_ok(s: frozenset, k: int, t: frozenset) -> bool:
+        if not s <= t:
+            return False
+        fresh = t - s
+        for m in phi[u]:
+            if m >= k:
+                continue
+            if mode == "membership":
+                if not any(m in phi[v] for v in fresh):
+                    return False
+            else:
+                if not any(phi[v] == frozenset((m,)) for v in fresh):
+                    return False
+        return True
+
+    def rank_at(cap: int):
+        memo: dict = {}
+
+        def chain_from(s: frozenset, k: int):
+            key = (s, k)
+            if key in memo:
+                return memo[key]
+            best_len, best_tail = 1, ((s, k),)
+            if k < cap:
+                for t in set_ids:
+                    if step_ok(s, k, t):
+                        ln, tail = chain_from(t, k + 1)
+                        if ln + 1 > best_len:
+                            best_len, best_tail = ln + 1, ((s, k),) + tail
+            memo[key] = (best_len, best_tail)
+            return memo[key]
+
+        best = (0, ())
+        for s in set_ids:
+            for k0 in range(cap + 1):
+                cand = chain_from(s, k0)
+                if cand[0] > best[0]:
+                    best = cand
+        return best
+
+    length, chain = rank_at(k_cap)
+    if k_cap > 0:
+        prev_len, _ = rank_at(k_cap - 1)
+        if prev_len != length:
+            warnings.warn(
+                f"chain length still growing at k_cap={k_cap}",
+                CapTooSmallWarning,
+            )
+    return length, chain
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in got]
+
+
+def _extra_groups(phi: dict, seed: int) -> dict:
+    """phi with up to two more groups per member, some beyond the family's."""
+    rng = random.Random(seed)
+    return {
+        v: g | frozenset(rng.sample(range(6), rng.randint(0, 2)))
+        for v, g in phi.items()
+    }
+
+
+def _assert_search_matches_reference(F: CoverFamily, phi: dict) -> None:
+    assert centered_subsets(F) == ref_centered_subsets(F)
+    n_members = len(F.by_id())
+    for u in sorted(F.by_id()):
+        for mode in ("membership", "equality"):
+            last = max(phi[u]) + n_members + 3
+            for cap in range(last + 1):
+                args = (F, phi, u, cap, mode)
+                assert _with_warnings(max_increasing_chain, *args) == (
+                    _with_warnings(ref_max_increasing_chain, *args)
+                ), (u, mode, cap)
+            want, _ = _with_warnings(
+                ref_max_increasing_chain, F, phi, u, last - 2, mode
+            )
+            assert stabilized_rank(F, phi, u, mode) == want
+
+
+# (members, seed): every size gen allows, the large ones on seeds with few
+# centered sets (17, 32 and 38), since the search grows with their number
+_ORACLE_FAMILIES = [(n, s) for n in range(1, 6) for s in (11, 12, 13)] + [
+    (6, 14), (7, 15), (8, 14),
+]
+
+
+@pytest.mark.parametrize("n, seed", _ORACLE_FAMILIES)
+def test_rank_search_matches_reference(n, seed):
+    F = gen.random_staged_family(n, seed)
+    _assert_search_matches_reference(F, phi_from_witness(F))
+    for ms in list(F.groups().values()) + [F.members]:
+        assert centered_poset_rank(ms, F.ground_mask) == (
+            ref_centered_poset_rank(ms, F.ground_mask)
+        )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_search_matches_reference_extra_groups(seed):
+    F = gen.random_staged_family(2 + seed, 100 + seed)
+    _assert_search_matches_reference(
+        F, _extra_groups(phi_from_witness(F), seed)
+    )
+
+
+def test_rank_search_input_errors():
+    F = fam(["x"], ("u", ["x"], 0))
+    with pytest.raises(KeyError, match="no phi value for 'zz'"):
+        stabilized_rank(F, {"u": frozenset({0})}, "zz")
+    with pytest.raises(EmptyPhiValue):
+        stabilized_rank(F, {"u": frozenset()}, "u")
+    big = CoverFamily(
+        ("x",),
+        tuple(Member(f"u{i}", 1, 0) for i in range(_CENTERED_ENUM_CAP + 1)),
+    )
+    with pytest.raises(TooLarge):
+        centered_subsets(big)
+    with pytest.raises(TooLarge):
+        centered_poset_rank(big.members, big.ground_mask)

@@ -248,3 +248,45 @@ def test_cli_bench(capsys):
 def test_cli_input_error(capsys):
     code, _ = run(capsys, "check", "no_such_file.json")
     assert code == 2
+
+
+@pytest.fixture()
+def family_path(tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({
+        "ground": ["x", "y"],
+        "members": [
+            {"id": "u", "set": ["x", "y"], "group": 0},
+            {"id": "v", "set": ["x"], "group": 1},
+        ],
+    }))
+    return str(path)
+
+
+def run_err(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_cli_cert_ord_point_errors(capsys, family_path):
+    code, err = run_err(capsys, "cert", family_path, "ord")
+    assert code == 2 and err == "error: cert ord needs --point\n"
+    code, err = run_err(capsys, "cert", family_path, "ord", "--point", "zz")
+    assert code == 2 and err == "error: --point 'zz' is not a ground point\n"
+    code, rep = run(capsys, "cert", family_path, "ord", "--point", "x")
+    assert code == 0 and rep["ord"] == 2
+
+
+def test_cli_cert_rank_unknown_member(capsys, family_path):
+    code, err = run_err(capsys, "cert", family_path, "rank", "--member", "zz")
+    assert code == 2 and "no phi value for 'zz'" in err
+
+
+def test_cli_cert_rank_empty_phi_value(capsys, tmp_path, family_path):
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps({"u": [], "v": [1]}))
+    code, err = run_err(
+        capsys, "cert", family_path, "rank", "--member", "u",
+        "--phi", str(phi_path),
+    )
+    assert code == 2 and err == "error: phi value for 'u' is empty\n"
