@@ -2,7 +2,8 @@
 
 Indexed set families with stage sequences, the group/phi round trip, the
 certificate poset of (centered set, counter) nodes with its strict order,
-rank search with memoization, and the two clopen-style refinements.
+rank search by a bottom-up table over member bitsets, and the two
+clopen-style refinements.
 
 Node validity (centeredness) is read over the ground set: the intersection
 of the chosen members must be nonempty, the empty choice being vacuously
@@ -12,15 +13,17 @@ centered.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .bits import bit, iter_bits
+from .bits import bit, iter_bits, mask_of
 from .errors import (
     CapTooSmallWarning,
     EmptyPhiValue,
     InvalidNode,
     MissingStages,
+    OracleDisagreement,
     TooLarge,
 )
 
@@ -159,9 +162,11 @@ def centered_poset_rank(
         (ord_count(x, members) for x in iter_bits(ground_mask)),
         default=0,
     )
-    assert len(best) == max_ord or not members, (
-        "centered maximum must match the ord maximum on a finite ground"
-    )
+    if members and len(best) != max_ord:
+        raise OracleDisagreement(
+            f"centered maximum {len(best)} differs from the ord maximum "
+            f"{max_ord} on a finite ground"
+        )
     return CenteredRankReport(len(best), chain, max_ord)
 
 
@@ -254,33 +259,54 @@ def gulko_lt(
     displayed singleton reading phi(v) = {m} is kept behind mode
     "equality" for comparison.
     """
-    if mode not in ("membership", "equality"):
-        raise ValueError(f"unknown mode {mode!r}")
+    pos, need, hit = _order_masks(F, phi, u, mode)
     for node in (a, b):
         if not node_is_valid(F, node):
             raise InvalidNode(f"node {node} is not centered")
     s, k = a
     t, l = b
-    return k < l and _step(phi, u, mode, s, k, t)
+    return k < l and _step(
+        mask_of(pos[v] for v in s),
+        mask_of(pos[v] for v in t),
+        hit[: bisect_left(need, k)],
+    )
 
 
-def _step(
-    phi: dict, u: str, mode: str, s: frozenset, k: int, t: frozenset
-) -> bool:
-    """s ⊆ t, and every m in phi(u) below k is hit by some v in t∖s: the
-    order on nodes without its counter test k < l."""
-    if not s <= t:
-        return False
-    fresh = t - s
-    for m in phi[u]:
-        if m >= k:
-            continue
-        if mode == "membership":
-            if not any(m in phi[v] for v in fresh):
-                return False
-        elif not any(phi[v] == frozenset((m,)) for v in fresh):
-            return False
-    return True
+def _order_masks(F: CoverFamily, phi: dict, u: str, mode: str):
+    """The order on u's nodes as bitsets: ({id: bit position}, need, hit).
+
+    Member ids, sorted, are the bit positions; need is phi(u) in increasing
+    order and hit[i] holds the members v that hit need[i] (need[i] ∈ phi(v),
+    or phi(v) = {need[i]} in mode "equality").  At counter k the groups to
+    hit are need[:bisect_left(need, k)].  Every member's phi value is read
+    here: a phi lacking u raises KeyError, one lacking another member
+    EmptyPhiValue, rather than letting that member hit nothing.
+    """
+    if mode not in ("membership", "equality"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if u not in phi:
+        raise KeyError(f"no phi value for {u!r}")
+    ids = sorted(F.by_id())
+    for v in ids:
+        if v not in phi:
+            raise EmptyPhiValue(f"no phi value for member {v!r}")
+
+    def is_hit(m: int, group) -> bool:
+        return m in group if mode == "membership" else set(group) == {m}
+
+    need = sorted(phi[u])
+    hit = [
+        mask_of(i for i, v in enumerate(ids) if is_hit(m, phi[v]))
+        for m in need
+    ]
+    return {v: i for i, v in enumerate(ids)}, need, hit
+
+
+def _step(s: int, t: int, hits: Sequence[int]) -> bool:
+    """s ⊆ t and t∖s meets every mask in hits: the order on nodes, over
+    member bitsets, without its counter test k < l."""
+    fresh = t & ~s
+    return not s & ~t and all(fresh & h for h in hits)
 
 
 def gulko_lt_brute(
@@ -329,41 +355,52 @@ def centered_subsets(F: CoverFamily) -> list:
 def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
     """rank_at(cap): the longest chain with all counters <= cap.
 
-    Depth-first search over centered sets with memoization on (set, k).
     Successor counters are taken as k+1 only: lowering a successor's
     counter weakens every later covering requirement while preserving
-    order, so minimal increments are dominant.  The centered sets are
-    enumerated once and shared by every cap; of equally long chains the
-    first found, in centered_subsets order, is kept.
+    order, so minimal increments are dominant.  A step s -> t at counter k
+    depends on k only through its level, the number of groups of phi(u)
+    below k, so the centered sets (enumerated once, in centered_subsets
+    order) get one successor list per level, shared by every cap.
+    rank_at fills the table of longest chains from k = cap down to 0; of
+    equally long chains the first in centered_subsets order is kept, both
+    for a node's successor and for the start node.  The start is read off
+    the row k = 0: a chain from (s, k + 1) moved one counter down is a
+    chain from (s, k), since a lower counter asks for no more groups, so
+    each row is at least the next one and the first longest start in
+    (set, counter) order has counter 0.
     """
-    if u not in phi:
-        raise KeyError(f"no phi value for {u!r}")
-    set_ids = [s for s, _ in centered_subsets(F)]
+    pos, need, hit = _order_masks(F, phi, u, mode)
+    sets = [s for s, _ in centered_subsets(F)]
+    masks = [mask_of(pos[v] for v in s) for s in sets]
+    # level 0 asks for no group, and _step(s, t, ()) is s ⊆ t
+    succ = [[[j for j, t in enumerate(masks) if not s & ~t] for s in masks]]
+    # each further level asks the fresh part to hit one more group
+    for h in hit:
+        succ.append([
+            [j for j in out if _step(s, masks[j], (h,))]
+            for s, out in zip(masks, succ[-1])
+        ])
 
     def rank_at(cap: int):
-        memo: dict = {}
-
-        def chain_from(s: frozenset, k: int):
-            key = (s, k)
-            if key in memo:
-                return memo[key]
-            best_len, best_tail = 1, ((s, k),)
-            if k < cap:
-                for t in set_ids:
-                    if _step(phi, u, mode, s, k, t):
-                        ln, tail = chain_from(t, k + 1)
-                        if ln + 1 > best_len:
-                            best_len, best_tail = ln + 1, ((s, k),) + tail
-            memo[key] = (best_len, best_tail)
-            return memo[key]
-
-        best = (0, ())
-        for s in set_ids:
-            for k0 in range(cap + 1):
-                cand = chain_from(s, k0)
-                if cand[0] > best[0]:
-                    best = cand
-        return best
+        if cap < 0:
+            return 0, ()
+        lengths = [[1] * len(sets)]  # lengths[i][x]: from (sets[x], cap - i)
+        choices = [[None] * len(sets)]
+        for k in range(cap - 1, -1, -1):
+            nxt = lengths[-1]
+            pick = [
+                max(out, key=nxt.__getitem__, default=None)
+                for out in succ[bisect_left(need, k)]
+            ]
+            lengths.append([1 if j is None else nxt[j] + 1 for j in pick])
+            choices.append(pick)
+        length = max(lengths[-1])
+        x, k, chain = lengths[-1].index(length), 0, []
+        while x is not None:
+            chain.append((sets[x], k))
+            x = choices[cap - k][x]
+            k += 1
+        return length, tuple(chain)
 
     return rank_at
 
@@ -427,7 +464,11 @@ def stabilized_rank(
     cap = max(phi[u]) + len(F.by_id()) + 1
     length, chain = rank_at(cap)
     again, _ = rank_at(cap + 2)
-    assert again == length, "rank failed to stabilize at the derived cap"
+    if again != length:
+        raise OracleDisagreement(
+            f"rank of {u!r} failed to stabilize at the derived cap {cap}: "
+            f"{length} there, {again} at {cap + 2}"
+        )
     return length, chain
 
 

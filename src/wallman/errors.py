@@ -112,5 +112,10 @@ class SizeCap(WallmanError):
     """A generator was asked for an instance beyond its size cap."""
 
 
+class OracleDisagreement(WallmanError):
+    """Two routes to the same value disagree: an internal consistency
+    check failed."""
+
+
 class CapTooSmallWarning(UserWarning):
     """Chain search still growing at the supplied k cap."""

@@ -157,7 +157,17 @@ def dump_family(F: CoverFamily) -> dict:
 def load_phi_file(path: str) -> dict:
     with open(path) as fh:
         raw = json.load(fh)
-    return {str(u): frozenset(int(x) for x in v) for u, v in raw.items()}
+    if not isinstance(raw, dict):
+        raise ValueError("a phi file maps member ids to lists of naturals")
+    for u, v in raw.items():
+        if not isinstance(v, list):
+            raise ValueError(f"phi value for {u!r} is not a list")
+        for x in v:
+            if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+                raise ValueError(
+                    f"phi value for {u!r} holds {x!r}, not a natural"
+                )
+    return {str(u): frozenset(v) for u, v in raw.items()}
 
 
 def dot_hasse(L: FiniteLattice) -> str:

@@ -1,11 +1,16 @@
+import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallman import gen
+from wallman import covers, gen
 from wallman.bits import iter_bits
 from wallman.covers import (
     _CENTERED_ENUM_CAP,
@@ -31,7 +36,13 @@ from wallman.covers import (
     weakly_sigma_point_finite,
     wiec_refinement,
 )
-from wallman.errors import EmptyPhiValue, InvalidNode, MissingStages, TooLarge
+from wallman.errors import (
+    EmptyPhiValue,
+    InvalidNode,
+    MissingStages,
+    OracleDisagreement,
+    TooLarge,
+)
 
 staged_families = st.builds(
     gen.random_staged_family,
@@ -541,3 +552,109 @@ def test_rank_search_input_errors():
         centered_subsets(big)
     with pytest.raises(TooLarge):
         centered_poset_rank(big.members, big.ground_mask)
+
+
+def test_missing_phi_value_is_named():
+    F = fam(["x"], ("u0", ["x"], 0), ("u1", ["x"], 1))
+    phi = {"u0": frozenset({2})}
+    a, b = (frozenset(), 0), (frozenset({"u1"}), 3)
+    with pytest.raises(EmptyPhiValue, match="^no phi value for member 'u1'$"):
+        stabilized_rank(F, phi, "u0")
+    with pytest.raises(EmptyPhiValue, match="^no phi value for member 'u1'$"):
+        max_increasing_chain(F, phi, "u0", 1)
+    with pytest.raises(EmptyPhiValue, match="^no phi value for member 'u1'$"):
+        gulko_lt(F, a, b, phi, "u0")
+
+
+def test_unknown_mode_rejected():
+    F = fam(["x"], ("u", ["x"], 0))
+    phi = phi_from_witness(F)
+    a, b = (frozenset(), 0), (frozenset({"u"}), 1)
+    with pytest.raises(ValueError, match="^unknown mode 'strict'$"):
+        stabilized_rank(F, phi, "u", "strict")
+    with pytest.raises(ValueError, match="^unknown mode 'strict'$"):
+        gulko_lt(F, a, b, phi, "u", "strict")
+
+
+# -- consistency checks that survive python -O --------------------------------
+
+
+def test_unstable_rank_raises(monkeypatch):
+    F = fam(["x"], ("u", ["x"], 0))
+    # a search whose length keeps growing with the cap never stabilizes
+    monkeypatch.setattr(
+        covers, "_chain_search", lambda *args: lambda cap: (cap, ())
+    )
+    with pytest.raises(OracleDisagreement, match="failed to stabilize"):
+        stabilized_rank(F, phi_from_witness(F), "u")
+
+
+def test_centered_max_differs_from_ord_max_raises(monkeypatch):
+    F = fam(["x"], ("u", ["x"], 0), ("v", ["x"], 0))
+    # an enumeration that loses every nonempty choice
+    monkeypatch.setattr(
+        covers, "_centered", lambda labels, points, ground: [((), ground)]
+    )
+    with pytest.raises(OracleDisagreement, match="differs from the ord maximum"):
+        centered_poset_rank(F.members, F.ground_mask)
+
+
+# -- the rank search at the benchmark's sizes ---------------------------------
+
+
+# (members, seed) of 7- and 8-member families with 44, 64, 58 and 80
+# centered sets
+_BENCH_SIZED_FAMILIES = [(7, 21), (7, 24), (8, 23), (8, 30)]
+
+
+@pytest.mark.parametrize("n, seed", _BENCH_SIZED_FAMILIES)
+def test_stabilized_rank_matches_reference_at_bench_sizes(n, seed):
+    F = gen.random_staged_family(n, seed)
+    assert 40 <= len(centered_subsets(F)) <= 80
+    phi = phi_from_witness(F)
+    for u in sorted(F.by_id()):
+        cap = max(phi[u]) + len(F.by_id()) + 1
+        for mode in ("membership", "equality"):
+            want, _ = _with_warnings(
+                ref_max_increasing_chain, F, phi, u, cap, mode
+            )
+            assert stabilized_rank(F, phi, u, mode) == want, (u, mode)
+
+
+def test_ten_member_chains_step_by_step():
+    F = gen.random_staged_family(10, 31)
+    assert len(F.by_id()) == 10
+    phi = phi_from_witness(F)
+    for u in sorted(F.by_id()):
+        cap = max(phi[u]) + len(F.by_id()) + 1
+        for mode in ("membership", "equality"):
+            length, chain = stabilized_rank(F, phi, u, mode)
+            assert len(chain) == length <= rank_upper_bound(F, phi, u)
+            assert all(0 <= k <= cap for _, k in chain)
+            for a, b in zip(chain, chain[1:]):
+                assert b[1] == a[1] + 1
+                assert gulko_lt(F, a, b, phi, u, mode)
+                assert gulko_lt_brute(F, a, b, phi, u, mode)
+
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_rank_survey_output_unchanged():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    out = subprocess.run(
+        [
+            sys.executable,
+            str(_ROOT / "scripts" / "rank_survey.py"),
+            "--families", "50",
+            "--max-members", "5",
+        ],
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    assert hashlib.md5(out).hexdigest() == "7b218f88c65140db41608ba9436bc84a"

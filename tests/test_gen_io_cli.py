@@ -290,3 +290,38 @@ def test_cli_cert_rank_empty_phi_value(capsys, tmp_path, family_path):
         "--phi", str(phi_path),
     )
     assert code == 2 and err == "error: phi value for 'u' is empty\n"
+
+
+def test_cli_cert_rank_missing_phi_value(capsys, tmp_path):
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps({
+        "ground": ["x"],
+        "members": [
+            {"id": "u0", "set": ["x"], "group": 0},
+            {"id": "u1", "set": ["x"], "group": 1},
+        ],
+    }))
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps({"u0": [2]}))
+    code, err = run_err(
+        capsys, "cert", str(fam_path), "rank", "--member", "u0",
+        "--phi", str(phi_path),
+    )
+    assert code == 2 and err == "error: no phi value for member 'u1'\n"
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1], "a phi file maps member ids to lists of naturals"),
+    ({"u": 3}, "phi value for 'u' is not a list"),
+    ({"u": ["a"]}, "phi value for 'u' holds 'a', not a natural"),
+    ({"u": [-1]}, "phi value for 'u' holds -1, not a natural"),
+    ({"u": [0], "v": [True]}, "phi value for 'v' holds True, not a natural"),
+])
+def test_cli_cert_rank_bad_phi_file(capsys, tmp_path, family_path, raw, message):
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps(raw))
+    code, err = run_err(
+        capsys, "cert", family_path, "rank", "--member", "u",
+        "--phi", str(phi_path),
+    )
+    assert code == 2 and err == f"error: {message}\n"
