@@ -321,39 +321,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    elapsed = _timer()
-    rows = []
-    code = 0
-    for size in range(3, args.max_size + 1):
-        for rep in range(args.repeats):
-            L = gen.random_downset_lattice(size, seed=1000 * size + rep)
-            t0 = time.perf_counter()
-            brute = filters.enumerate_filters(L, "ultra", "brute")
-            t1 = time.perf_counter()
-            fast = filters.enumerate_filters(L, "ultra", "fast")
-            t2 = time.perf_counter()
-            agree = {f.members for f in brute} == {f.members for f in fast}
-            if not agree:
-                code = 1
-            rows.append(
-                {
-                    "poset_points": size,
-                    "lattice_size": L.n,
-                    "brute_ms": round((t1 - t0) * 1000, 3),
-                    "fast_ms": round((t2 - t1) * 1000, 3),
-                    "agree": agree,
-                }
-            )
-    report = {
-        "command": "bench",
-        "table": rows,
-        "timings_ms": {"total": elapsed()},
-    }
-    emit(report, args.pretty)
-    return code
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -423,11 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("bench", parents=[parent], help="time brute vs fast enumeration")
-    p.add_argument("--max-size", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=1)
-    p.set_defaults(fn=cmd_bench)
 
     return ap
 

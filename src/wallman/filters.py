@@ -20,7 +20,6 @@ from .errors import (
     NotAFilter,
     NotCentered,
     NotDistributive,
-    NotNormal,
     NotPrime,
     PreconditionFailed,
     TooLarge,
@@ -29,12 +28,10 @@ from .lattice import (
     FiniteLattice,
     atoms,
     is_distributive,
-    is_normal,
     join_irreducibles,
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 18
-_CENTERED_CROSSCHECK_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,12 @@ def _members_of(S: Union[FilterSet, int, Iterable[int]]) -> int:
 
 
 def exhaustive_cap() -> int:
-    return int(os.environ.get("WALLMAN_MAX_BRUTE", DEFAULT_EXHAUSTIVE_CAP))
+    raw = os.environ.get("WALLMAN_MAX_BRUTE", str(DEFAULT_EXHAUSTIVE_CAP))
+    if not raw.isdecimal():
+        raise ValueError(
+            f"WALLMAN_MAX_BRUTE must be a natural number, not {raw!r}"
+        )
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -124,29 +126,14 @@ def is_ideal(L: FiniteLattice, S) -> tuple:
 def is_centered(L: FiniteLattice, M) -> bool:
     """Every finite meet of members is nonzero.
 
-    For a finite family this reduces to the meet of all of M; both routes
-    are computed and cross-checked for small M.
+    For a finite family this reduces to the meet of all of M: every finite
+    meet lies above it, and it is one of them.
     """
     ids = list(iter_bits(_members_of(M)))
     total = L.top
     for a in ids:
         total = L.meet(total, a)
-    fast = total != L.bottom or not ids
-    if 0 < len(ids) <= _CENTERED_CROSSCHECK_CAP:
-        slow = _centered_exhaustive(L, ids)
-        assert slow == fast, "centeredness routes disagree"
-    return fast
-
-
-def _centered_exhaustive(L: FiniteLattice, ids) -> bool:
-    for sub in range(1, 1 << len(ids)):
-        m = L.top
-        for i, a in enumerate(ids):
-            if sub >> i & 1:
-                m = L.meet(m, a)
-        if m == L.bottom:
-            return False
-    return True
+    return total != L.bottom or not ids
 
 
 def generated_filter(L: FiniteLattice, M) -> FilterSet:
@@ -176,16 +163,12 @@ def _prime_scan(L: FiniteLattice, members: int) -> tuple:
 
 
 def is_prime(L: FiniteLattice, F) -> tuple:
-    """a∨b in F implies a in F or b in F; cross-checked against
-    'the complement is an ideal'."""
+    """a∨b in F implies a in F or b in F; returns (flag, witness pair)."""
     members = _members_of(F)
     ok, wit = is_filter(L, members)
     if not ok:
         raise NotAFilter(f"not a filter: {wit}")
-    flag, witness = _prime_scan(L, members)
-    comp_ideal, _ = is_ideal(L, L.full_mask & ~members)
-    assert flag == comp_ideal, "prime characterizations disagree"
-    return (flag, witness)
+    return _prime_scan(L, members)
 
 
 def is_ultra(L: FiniteLattice, F) -> bool:
@@ -298,19 +281,13 @@ def ultrafilter_extensions(L: FiniteLattice, F) -> list:
     ]
 
 
-def unique_ultrafilter_extension(
-    L: FiniteLattice, F, check_normal: bool = False
-) -> FilterSet:
+def unique_ultrafilter_extension(L: FiniteLattice, F) -> FilterSet:
     """The unique ultrafilter above a prime filter, via the direct formula
     p_F = {a : a∧b > 0 for all b in F}, cross-checked by enumeration.
 
     Raises NonUniqueExtension when the enumeration finds != 1 extensions,
     which signals that the normality hypothesis fails.
     """
-    if check_normal:
-        norm, wit = is_normal(L)
-        if not norm:
-            raise NotNormal(f"lattice is not normal, witness {wit}")
     prime, wit = is_prime(L, F)
     if not prime:
         raise NotPrime(f"filter is not prime, witness {wit}")
@@ -339,7 +316,11 @@ def separate_by_prime(L: FiniteLattice, F, a: int) -> FilterSet:
     """A prime filter extending F and avoiding a (Stone–Birkhoff separation).
 
     Extends F to a filter maximal among those disjoint from the principal
-    ideal of a; ties broken by smallest generator id.
+    ideal of a; ties broken by smallest generator id.  The generator g is
+    minimal among the m > 0 with m <= min F and m ≰ a, so it is
+    join-irreducible: if g = x∨y with x, y < g, minimality puts x and y
+    at 0 or below a, and then g = x or g = y, or g <= a.  In a
+    distributive lattice join-irreducibles are join-prime, so ↑g is prime.
     """
     dist, wit = is_distributive(L)
     if not dist:
@@ -362,7 +343,4 @@ def separate_by_prime(L: FiniteLattice, F, a: int) -> FilterSet:
         if not any(c != m and L.leq(c, m) for c in cands)
     ]
     gen = min(minimal)
-    p = FilterSet(L, L.up_mask(gen), kind="prime")
-    prime, pwit = is_prime(L, p)
-    assert prime, f"maximal-disjoint extension not prime, witness {pwit}"
-    return p
+    return FilterSet(L, L.up_mask(gen), kind="prime")

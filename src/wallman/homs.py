@@ -11,6 +11,7 @@ from .errors import (
     NotAHom,
     NotComposable,
     NotNormal,
+    OracleDisagreement,
     PreconditionFailed,
     WallmanError,
 )
@@ -23,9 +24,10 @@ from .filters import (
 )
 from .lattice import (
     FiniteLattice,
-    is_boolean,
+    atoms,
     is_normal,
     is_separative,
+    join_primes,
 )
 from .spaces import WallmanSpace, build_space
 
@@ -149,14 +151,18 @@ def induced_map(
     for p in ult_l.points:
         pre = h.preimage_filter(p)
         prime, wit = is_prime(K, pre)
-        assert prime, f"preimage of an ultrafilter not prime: {wit}"
+        if not prime:
+            raise OracleDisagreement(
+                f"preimage of an ultrafilter not prime: {wit}"
+            )
         if pre in index:
             ext = pre
         else:
             ext = unique_ultrafilter_extension(K, FilterSet(K, pre)).members
         pm.append(index[ext])
     sm = SpaceMap(ult_l, ult_k, tuple(pm))
-    assert sm.is_continuous(), "induced map failed the continuity check"
+    if not sm.is_continuous():
+        raise OracleDisagreement("induced map failed the continuity check")
     return sm
 
 
@@ -228,8 +234,8 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
                 law = False
                 break
     report = SeparativityReport(sep, preimages_ultra, law)
-    if not failed:
-        assert report.all_equivalent(), "equivalence fails under hypotheses"
+    if not failed and not report.all_equivalent():
+        raise OracleDisagreement("equivalence fails under hypotheses")
     return report
 
 
@@ -260,7 +266,8 @@ def surjectivity_from_kernel(h: LatticeHom) -> KernelReport:
     sm = induced_map(h, require_normal=False)
     surj = sm.is_surjective()
     if trivial:
-        assert surj, "trivial kernel must give a surjection"
+        if not surj:
+            raise OracleDisagreement("trivial kernel must give a surjection")
         return KernelReport(True, True, False)
     return KernelReport(False, surj, surj)
 
@@ -293,7 +300,8 @@ def embedding_from_separation(h: LatticeHom) -> EmbeddingReport:
     sm = induced_map(h, require_normal=False)
     inj = sm.is_injective()
     if sep:
-        assert inj, "separating image must give an injection"
+        if not inj:
+            raise OracleDisagreement("separating image must give an injection")
         return EmbeddingReport(True, True)
     return EmbeddingReport(False, inj)
 
@@ -317,7 +325,13 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
     The algebra is the set of unions of its atoms, the classes of points
     that lie in the same sets a⁺.  Points i and j share them iff
     cl{i} = cl{j} (i in a⁺ iff cl{i} ⊆ a⁺), so the classes are read off
-    the point closures.
+    the point closures.  The classes partition the points and
+    union_closure returns every union of them, 0 and the full set
+    included, so the algebra is their powerset: Boolean by construction.
+
+    j: a ↦ a⁺ preserves 0, 1 and meets, and it preserves joins iff every
+    atom is join-prime (the build_space argument), so that precondition
+    is checked instead of the hom law itself.
     """
     space = build_space(L, "ultra")
     classes = {}
@@ -327,11 +341,13 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
     B = FiniteLattice.from_keys(
         keys, name=f"bool({L.name})" if L.name else "bool", verify=False
     )
-    assert is_boolean(B), "generated algebra must be Boolean"
     key_index = {k: i for i, k in enumerate(keys)}
     j = LatticeHom(L, B, tuple(key_index[space.a_plus[a]] for a in range(L.n)))
-    ok, wit = verify_hom(j)
-    assert ok, f"a -> a⁺ failed the homomorphism check: {wit}"
+    if not set(atoms(L)) <= set(join_primes(L)):
+        # perfbench/expected.json pins this exception type and text as the
+        # outcome of `stone m3`; an explicit raise keeps it under python -O.
+        wit = verify_hom(j)[1]
+        raise AssertionError(f"a -> a⁺ failed the homomorphism check: {wit}")
     kernel = j.kernel()
     ult_b = build_space(B, "ultra")
     index = {u.members: i for i, u in enumerate(space.points)}
@@ -342,10 +358,14 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
             pm.append(index[pre])
         else:
             exts = ultrafilter_extensions(L, pre)
-            assert len(exts) == 1, "ambiguous extension in the point chase"
+            if len(exts) != 1:
+                raise OracleDisagreement(
+                    "ambiguous extension in the point chase"
+                )
             pm.append(index[exts[0].members])
     sm = SpaceMap(ult_b, space, tuple(pm))
-    assert sm.is_continuous(), "onto map failed the continuity check"
-    if kernel == (L.bottom,):
-        assert sm.is_surjective(), "trivial kernel must give a surjection"
+    if not sm.is_continuous():
+        raise OracleDisagreement("onto map failed the continuity check")
+    if kernel == (L.bottom,) and not sm.is_surjective():
+        raise OracleDisagreement("trivial kernel must give a surjection")
     return AlexandrovResult(B, j, sm, kernel)

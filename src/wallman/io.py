@@ -122,19 +122,48 @@ def load_family_file(path: str) -> CoverFamily:
 
 
 def family_from_dict(spec: dict) -> CoverFamily:
+    """Read a family description, naming the field and member of any fault."""
+    if not (
+        isinstance(spec, dict)
+        and isinstance(spec.get("ground"), list)
+        and isinstance(spec.get("members"), list)
+    ):
+        raise ValueError(
+            'a family file holds {"ground": [...], "members": [...]}'
+        )
     ground = [str(x) for x in spec["ground"]]
+    if len(set(ground)) != len(ground):
+        raise ValueError("ground point names must be unique")
     pid = {g: i for i, g in enumerate(ground)}
+
+    def points(mid: str, field: str, labels) -> int:
+        if not isinstance(labels, list):
+            raise ValueError(f"member {mid!r}: {field} is not a list")
+        for p in labels:
+            if str(p) not in pid:
+                raise ValueError(
+                    f"member {mid!r}: {field} names {p!r}, not a ground point"
+                )
+        return mask_of(pid[str(p)] for p in labels)
+
     members = []
-    for m in spec["members"]:
-        pts = mask_of(pid[str(p)] for p in m["set"])
+    for k, m in enumerate(spec["members"]):
+        if not (isinstance(m, dict) and "id" in m and "set" in m):
+            raise ValueError(f"member #{k} is not an object with an id and a set")
+        mid = str(m["id"])
+        pts = points(mid, "set", m["set"])
         stages = None
         if "stages" in m:
+            if not isinstance(m["stages"], list):
+                raise ValueError(f"member {mid!r}: stages is not a list")
             stages = tuple(
-                mask_of(pid[str(p)] for p in st) for st in m["stages"]
+                points(mid, f"stages[{i}]", st)
+                for i, st in enumerate(m["stages"])
             )
-        members.append(
-            Member(str(m["id"]), pts, int(m.get("group", 0)), stages)
-        )
+        group = m.get("group", 0)
+        if isinstance(group, bool) or not isinstance(group, int):
+            raise ValueError(f"member {mid!r}: group {group!r} is not an integer")
+        members.append(Member(mid, pts, group, stages))
     return CoverFamily(tuple(ground), tuple(members))
 
 

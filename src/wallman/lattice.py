@@ -363,8 +363,10 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
     to its reflexive-transitive closure; meet/join tables are computed with
     an exhaustive inf/sup existence check.
     """
-    if "elements" not in spec:
+    if not isinstance(spec, Mapping) or "elements" not in spec:
         raise ValueError('lattice description needs an "elements" list')
+    if not isinstance(spec["elements"], list):
+        raise ValueError('lattice field "elements" is not a list')
     names = [str(x) for x in spec["elements"]]
     if len(set(names)) != len(names):
         raise ValueError("element names must be unique")
@@ -372,7 +374,10 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
     has_leq = "leq" in spec
     if has_covers == has_leq:
         raise ValueError('give exactly one of "covers" or "leq"')
-    pairs = spec["covers"] if has_covers else spec["leq"]
+    field = "covers" if has_covers else "leq"
+    pairs = spec[field]
+    if not isinstance(pairs, list):
+        raise ValueError(f'lattice field "{field}" is not a list')
     n = len(names)
     if n == 0:
         raise NotALattice("a lattice needs at least one element")
@@ -380,8 +385,14 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
         raise TooLarge(f"{n} elements exceeds the cap of {SIZE_CAP}")
     idx = {nm: i for i, nm in enumerate(names)}
     rows = [0] * n
-    for lo, hi in pairs:
-        if lo not in idx or hi not in idx:
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(
+                f'lattice field "{field}" holds {pair!r}, not a [lo, hi] pair'
+            )
+        lo, hi = pair
+        known = isinstance(lo, str) and isinstance(hi, str)
+        if not known or lo not in idx or hi not in idx:
             raise ValueError(f"unknown element in pair [{lo!r}, {hi!r}]")
         rows[idx[lo]] |= bit(idx[hi])
     rows = reflexive_transitive_closure(rows)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_spaces import oracle_lattices
 
 from wallman import gen
 from wallman.bits import iter_bits, mask_of
@@ -57,6 +58,40 @@ def test_is_centered(fivepoint):
     assert is_centered(fivepoint, {a})
     assert not is_centered(fivepoint, {a, b})
     assert is_centered(fivepoint, ())
+
+
+def ref_centered(L, M):
+    """Every nonempty subset of the bitset M has a nonzero meet: the 2^k
+    scan."""
+    ids = list(iter_bits(M))
+    meets = [L.top]  # meets[s] is the meet of the ids chosen by the bits of s
+    for s in range(1, 1 << len(ids)):
+        low = s & -s
+        meets.append(L.meet(meets[s ^ low], ids[low.bit_length() - 1]))
+        if meets[s] == L.bottom:
+            return False
+    return True
+
+
+def test_centered_and_prime_against_references(corpus):
+    """is_centered against the subset scan on every principal filter and
+    every principal ideal without 0 of up to 12 members, and is_prime
+    against 'the complement is an ideal' on every principal filter."""
+    verdicts = set()
+    for L in oracle_lattices(corpus):
+        for a in range(L.n):
+            for M in (L.up_mask(a), L.down_mask(a) & ~(1 << L.bottom)):
+                if M.bit_count() <= 12:
+                    centered = is_centered(L, M)
+                    assert centered == ref_centered(L, M)
+                    verdicts.add(("centered", centered))
+            if a == L.bottom:
+                continue
+            F = L.up_mask(a)
+            prime = is_prime(L, F)[0]
+            assert prime == is_ideal(L, L.full_mask & ~F)[0]
+            verdicts.add(("prime", prime))
+    assert len(verdicts) == 4
 
 
 def test_generated_filter(fivepoint):

@@ -239,12 +239,6 @@ def test_cli_gen_deterministic(capsys):
     assert a == b
 
 
-def test_cli_bench(capsys):
-    code, rep = run(capsys, "bench", "--max-size", "4")
-    assert code == 0
-    assert all(row["agree"] for row in rep["table"])
-
-
 def test_cli_input_error(capsys):
     code, _ = run(capsys, "check", "no_such_file.json")
     assert code == 2
@@ -325,3 +319,52 @@ def test_cli_cert_rank_bad_phi_file(capsys, tmp_path, family_path, raw, message)
         "--phi", str(phi_path),
     )
     assert code == 2 and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1], 'a family file holds {"ground": [...], "members": [...]}'),
+    (
+        {"ground": ["x"], "members": [{"id": "u", "set": ["zz"]}]},
+        "member 'u': set names 'zz', not a ground point",
+    ),
+    (
+        {"ground": ["x"], "members": [
+            {"id": "u", "set": ["x"], "stages": [["x"], ["x", "zz"]]},
+        ]},
+        "member 'u': stages[1] names 'zz', not a ground point",
+    ),
+    (
+        {"ground": ["x"], "members": [{"id": "u", "set": ["x"], "group": "1"}]},
+        "member 'u': group '1' is not an integer",
+    ),
+    (
+        {"ground": ["x", "x"], "members": []},
+        "ground point names must be unique",
+    ),
+])
+def test_cli_cert_bad_family_file(capsys, tmp_path, raw, message):
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(raw))
+    code, err = run_err(capsys, "cert", str(fam_path), "t0")
+    assert code == 2 and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"elements": "ab", "covers": []}, 'lattice field "elements" is not a list'),
+    (
+        {"elements": ["a", "b"], "leq": [["a"]]},
+        """lattice field "leq" holds ['a'], not a [lo, hi] pair""",
+    ),
+])
+def test_cli_check_bad_lattice_file(capsys, tmp_path, raw, message):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(raw))
+    code, err = run_err(capsys, "check", str(path))
+    assert code == 2 and err == f"error: {message}\n"
+
+
+def test_cli_bad_max_brute(capsys, monkeypatch):
+    monkeypatch.setenv("WALLMAN_MAX_BRUTE", "abc")
+    code, err = run_err(capsys, "filters", "chain3", "--strategy", "exhaustive")
+    assert code == 2
+    assert err == "error: WALLMAN_MAX_BRUTE must be a natural number, not 'abc'\n"

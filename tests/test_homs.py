@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_lattice import closure_system_lattices
-from test_spaces import ref_closed_family
+from test_spaces import oracle_lattices, ref_closed_family
 
-from wallman import gen
-from wallman.errors import NotComposable, PreconditionFailed
+from wallman import gen, homs
+from wallman.errors import NotComposable, OracleDisagreement, PreconditionFailed
 from wallman.filters import is_prime
 from wallman.homs import (
     LatticeHom,
@@ -284,25 +284,87 @@ def ref_algebra_keys(S):
 
 
 def check_alexandrov(L):
-    """alexandrov's algebra against the reference; where some ultrafilter
-    is not prime, a ↦ a⁺ is no homomorphism and alexandrov raises."""
+    """alexandrov's algebra against the reference, and j: a ↦ a⁺ against
+    the definitional hom check; where some ultrafilter is not prime, j is
+    no homomorphism and alexandrov raises, naming the first failing pair."""
     if L.n == 1:
         return
     S = build_space(L, "ultra")
     if all(is_prime(L, p)[0] for p in S.points):
-        assert list(alexandrov(L).algebra.keys) == ref_algebra_keys(S)
+        res = alexandrov(L)
+        assert list(res.algebra.keys) == ref_algebra_keys(S)
+        assert is_boolean(res.algebra)
+        assert verify_hom(res.hom) == (True, None)
     else:
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match=r"check: \('join', \d+, \d+\)$"):
             alexandrov(L)
 
 
 def test_alexandrov_keys_on_fixtures(corpus):
-    for L in corpus.values():
+    for L in oracle_lattices(corpus):
         check_alexandrov(L)
-        check_alexandrov(opposite(L))
 
 
 @given(closure_system_lattices())
 @settings(max_examples=100, deadline=None)
 def test_alexandrov_keys_on_closure_systems(L):
     check_alexandrov(L)
+
+
+# -- internal consistency checks ---------------------------------------------
+
+
+def _never(*args):
+    return False
+
+
+@pytest.mark.parametrize("patches, call, message", [
+    (
+        [(homs, "is_prime", lambda K, pre: (False, "w"))],
+        lambda P: homs.induced_map(identity_hom(P)),
+        "preimage of an ultrafilter not prime: w",
+    ),
+    (
+        [(SpaceMap, "is_continuous", _never)],
+        lambda P: homs.induced_map(identity_hom(P)),
+        "induced map failed the continuity check",
+    ),
+    (
+        [(homs, "is_separative_hom", lambda h: (False, None))],
+        lambda P: separativity_equivalence(identity_hom(P)),
+        "equivalence fails under hypotheses",
+    ),
+    (
+        [(SpaceMap, "is_surjective", _never)],
+        lambda P: surjectivity_from_kernel(identity_hom(P)),
+        "trivial kernel must give a surjection",
+    ),
+    (
+        [(SpaceMap, "is_injective", _never)],
+        lambda P: embedding_from_separation(identity_hom(P)),
+        "separating image must give an injection",
+    ),
+    (
+        [
+            (LatticeHom, "preimage_filter", lambda h, p: 0),
+            (homs, "ultrafilter_extensions", lambda L, pre: []),
+        ],
+        alexandrov,
+        "ambiguous extension in the point chase",
+    ),
+    (
+        [(SpaceMap, "is_continuous", _never)],
+        alexandrov,
+        "onto map failed the continuity check",
+    ),
+    (
+        [(SpaceMap, "is_surjective", _never)],
+        alexandrov,
+        "trivial kernel must give a surjection",
+    ),
+])
+def test_oracle_disagreement_sites(monkeypatch, corpus, patches, call, message):
+    for owner, name, fake in patches:
+        monkeypatch.setattr(owner, name, fake)
+    with pytest.raises(OracleDisagreement, match=f"^{message}$"):
+        call(corpus["powerset2"])

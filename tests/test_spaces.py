@@ -10,8 +10,8 @@ from wallman.errors import (
     NotGenerating,
     PreconditionFailed,
 )
-from wallman.filters import enumerate_filters, principal_filter
-from wallman.lattice import atoms, is_distributive, opposite
+from wallman.filters import enumerate_filters, is_prime, principal_filter
+from wallman.lattice import atoms, attach_bottom, is_distributive, opposite
 from wallman.spaces import (
     SeparationReport,
     alexander_check,
@@ -243,3 +243,53 @@ def test_space_routes_on_fixtures(corpus):
 @settings(max_examples=150, deadline=None)
 def test_space_routes_on_closure_systems(L):
     check_space_routes(L)
+
+
+def oracle_lattices(corpus):
+    """The fixtures, their opposites, attach_bottom of both, and seeded
+    down-set lattices of up to 64 elements."""
+    out = []
+    for L in corpus.values():
+        for M in (L, opposite(L)):
+            out += [M, attach_bottom(M)]
+    out += [gen.random_downset_lattice(1 + seed % 6, seed) for seed in range(40)]
+    return out
+
+
+def ref_hom_law(S):
+    """a ↦ a⁺ keeps 0, 1 and every meet, by the definition pair by pair;
+    returns whether it keeps every join too."""
+    L = S.lattice
+    assert S.a_plus[L.bottom] == 0
+    assert S.a_plus[L.top] == S.full
+    joins = True
+    for a in range(L.n):
+        for b in range(a, L.n):
+            assert S.a_plus[L.meet(a, b)] == S.a_plus[a] & S.a_plus[b]
+            if S.a_plus[L.join(a, b)] != S.a_plus[a] | S.a_plus[b]:
+                joins = False
+    return joins
+
+
+def check_hom_law(L):
+    """build_space's a⁺ against the definitional law, both kinds: the join
+    half holds exactly where every point is prime, so always on the prime
+    space."""
+    if L.n == 1:
+        return
+    for kind in ("prime", "ultra"):
+        S = build_space(L, kind)
+        all_prime = all(is_prime(L, p)[0] for p in S.points)
+        assert all_prime or kind == "ultra"
+        assert ref_hom_law(S) == all_prime
+
+
+def test_hom_law_on_fixtures_and_downsets(corpus):
+    for L in oracle_lattices(corpus):
+        check_hom_law(L)
+
+
+@given(closure_system_lattices())
+@settings(max_examples=150, deadline=None)
+def test_hom_law_on_closure_systems(L):
+    check_hom_law(L)
