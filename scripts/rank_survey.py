@@ -47,7 +47,9 @@ def run(cfg: SurveyConfig) -> None:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(
+        description="Survey of stabilized chain ranks over random staged cover families."
+    )
     ap.add_argument("--families", type=int, default=50)
     ap.add_argument("--max-members", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)

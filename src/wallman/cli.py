@@ -8,6 +8,7 @@ can drop them.  Exit codes: 0 pass, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -324,9 +325,12 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The wallman parser, built on first use and shared by every later
+    main() call in the process: callers must not mutate it."""
     ap = argparse.ArgumentParser(
-        prog="wallman", description=__doc__.splitlines()[0]
+        prog="wallman", description="Command-line workbench: wallman <command> [args]."
     )
     ap.add_argument("--pretty", action="store_true", help="human-readable output")
     parent = argparse.ArgumentParser(add_help=False)

@@ -20,7 +20,6 @@ from .filters import (
     is_prime,
     is_ultra,
     unique_ultrafilter_extension,
-    ultrafilter_extensions,
 )
 from .lattice import (
     FiniteLattice,
@@ -332,6 +331,13 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
     j: a ↦ a⁺ preserves 0, 1 and meets, and it preserves joins iff every
     atom is join-prime (the build_space argument), so that precondition
     is checked instead of the hom law itself.
+
+    The points of ult(L) are the filters ↑t for the atoms t, pairwise
+    incomparable, so every closure cl{i} is {i}: the space is T1, each
+    class is one point and B is the powerset of the points.  An
+    ultrafilter of B is principal on one atom {i}, and its preimage
+    {a : i ∈ a⁺} = {a : tᵢ ≤ a} = ↑tᵢ is point i itself, so the point map
+    is a lookup with no ultrafilter extension to chase.
     """
     space = build_space(L, "ultra")
     classes = {}
@@ -351,19 +357,8 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
     kernel = j.kernel()
     ult_b = build_space(B, "ultra")
     index = {u.members: i for i, u in enumerate(space.points)}
-    pm = []
-    for p in ult_b.points:
-        pre = j.preimage_filter(p)
-        if pre in index:
-            pm.append(index[pre])
-        else:
-            exts = ultrafilter_extensions(L, pre)
-            if len(exts) != 1:
-                raise OracleDisagreement(
-                    "ambiguous extension in the point chase"
-                )
-            pm.append(index[exts[0].members])
-    sm = SpaceMap(ult_b, space, tuple(pm))
+    pm = tuple(index[j.preimage_filter(p)] for p in ult_b.points)
+    sm = SpaceMap(ult_b, space, pm)
     if not sm.is_continuous():
         raise OracleDisagreement("onto map failed the continuity check")
     if kernel == (L.bottom,) and not sm.is_surjective():

@@ -86,18 +86,40 @@ def resolve_lattice(ref: str, base_dir: Optional[str] = None) -> FiniteLattice:
 
 
 def load_hom_file(path: str) -> LatticeHom:
+    """Read a hom file, naming the field or the map pair of any fault."""
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError('a hom file holds {"source", "target", "map"}')
+    for field, kind, what in (
+        ("source", str, "a lattice name"),
+        ("target", str, "a lattice name"),
+        ("map", list, "a list"),
+    ):
+        if not isinstance(spec.get(field), kind):
+            raise ValueError(f'hom field "{field}" is missing or not {what}')
     base = os.path.dirname(os.path.abspath(path))
     src = resolve_lattice(spec["source"], base)
     tgt = resolve_lattice(spec["target"], base)
-    mapping = {x: y for x, y in spec["map"]}
+    sources = set(src.names)
+    tid = {nm: i for i, nm in enumerate(tgt.names)}
+    mapping = {}
+    for pair in spec["map"]:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(
+                f'hom field "map" holds {pair!r}, not an [element, image] pair'
+            )
+        x, y = pair
+        if not (isinstance(x, str) and x in sources):
+            raise ValueError(f"hom map pair {pair!r}: {x!r} is not a source element")
+        if not (isinstance(y, str) and y in tid):
+            raise ValueError(f"hom map pair {pair!r}: {y!r} is not a target element")
+        if mapping.setdefault(x, y) != y:
+            raise ValueError(f"hom map sends {x!r} to both {mapping[x]!r} and {y!r}")
     missing = [nm for nm in src.names if nm not in mapping]
     if missing:
         raise ValueError(f"hom map misses elements: {missing}")
-    return LatticeHom(
-        src, tgt, tuple(tgt.id_of(mapping[nm]) for nm in src.names)
-    )
+    return LatticeHom(src, tgt, tuple(tid[mapping[nm]] for nm in src.names))
 
 
 def dump_filter(F: FilterSet) -> dict:

@@ -1,6 +1,16 @@
+import contextlib
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import tempfile
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallman import cli, gen, io
 from wallman.errors import SizeCap
@@ -368,3 +378,165 @@ def test_cli_bad_max_brute(capsys, monkeypatch):
     code, err = run_err(capsys, "filters", "chain3", "--strategy", "exhaustive")
     assert code == 2
     assert err == "error: WALLMAN_MAX_BRUTE must be a natural number, not 'abc'\n"
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1], 'a hom file holds {"source", "target", "map"}'),
+    (
+        {"source": "chain3", "target": "chain2"},
+        'hom field "map" is missing or not a list',
+    ),
+    (
+        {"source": "chain3", "target": "chain2", "map": [["0"]]},
+        """hom field "map" holds ['0'], not an [element, image] pair""",
+    ),
+    (
+        {"source": "chain3", "target": "chain2",
+         "map": [["0", "0"], ["m", "zz"], ["1", "1"]]},
+        "hom map pair ['m', 'zz']: 'zz' is not a target element",
+    ),
+    (
+        {"source": "chain3", "target": "chain2", "map": [["q", "0"]]},
+        "hom map pair ['q', '0']: 'q' is not a source element",
+    ),
+    (
+        {"source": "chain3", "target": "chain2", "map": [["0", "0"], ["0", "1"]]},
+        "hom map sends '0' to both '0' and '1'",
+    ),
+])
+def test_cli_hom_bad_file(capsys, tmp_path, raw, message):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(raw))
+    code, err = run_err(capsys, "hom", str(path))
+    assert code == 2 and err == f"error: {message}\n"
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def _call(argv):
+    """cli.main on argv, as (exit code, stdout, stderr) with the timing
+    values blanked; argparse usage errors exit through SystemExit."""
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    blank = re.compile(r'(total"?: )[0-9.]+')
+    return code, blank.sub(r"\1T", out.getvalue()), err.getvalue()
+
+
+def test_cli_shared_parser_matches_fresh(monkeypatch, tmp_path, family_path):
+    hom_path = tmp_path / "h.json"
+    hom_path.write_text(json.dumps({
+        "source": "chain3", "target": "chain2",
+        "map": [["0", "0"], ["m", "0"], ["1", "1"]],
+    }))
+    sequence = [
+        ["check", "fivepoint", "--require", "normal"],
+        ["--pretty", "filters", "chain3", "--class", "ultra"],
+        ["space", "chain3", "--pretty", "--kind", "prime", "--axioms"],
+        ["suite", "powerset2"],
+        ["cert", family_path, "rank", "--frobnicate"],
+        ["cert", family_path, "bogus"],
+        ["hom", str(hom_path), "--separative"],
+        ["stone", "divisor12", "--pretty"],
+        ["check", "no_such_file.json"],
+        ["cert", family_path, "ord", "--point", "x"],
+        ["gen", "--kind", "downset", "--size", "3", "--seed", "2"],
+        ["--pretty", "cert", family_path, "t0", "--pretty"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = [_call(argv) for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_call(argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 2, 2, 0, 0, 2, 0, 0, 0]
+    assert "unrecognized arguments: --frobnicate" in shared[4][2]
+    assert shared[5][2].startswith("usage: wallman cert")
+    assert shared[8][2].startswith("error: ")
+
+
+def test_cli_builds_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert cli.main(["check", "chain3"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, timeout=120
+    )
+
+
+def test_cli_parser_not_built_at_import():
+    out = _python("-c", "from wallman import cli; print(cli.build_parser.cache_info())")
+    assert out.returncode == 0 and "currsize=0" in out.stdout.decode()
+
+
+def test_cli_runs_under_optimize_OO():
+    plain = _python("-m", "wallman.cli", "check", "chain3")
+    stripped = _python("-OO", "-m", "wallman.cli", "check", "chain3")
+    assert (plain.returncode, stripped.returncode) == (0, 0)
+    assert stripped.stderr == b""
+    a, b = json.loads(plain.stdout), json.loads(stripped.stdout)
+    a.pop("timings_ms")
+    b.pop("timings_ms")
+    assert a == b
+
+
+# -- fuzzed input files ---------------------------------------------------------
+
+_WORDS = [
+    "name", "elements", "covers", "leq", "source", "target", "map",
+    "ground", "members", "id", "set", "group", "stages", "u", "v",
+    "0", "1", "m", "x", "chain2", "chain3", "m3",
+]
+_json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.sampled_from(_WORDS)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(doc=_json_docs)
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzzed_input_files(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        fam_path = os.path.join(tmp, "fam.json")
+        with open(fam_path, "w") as fh:
+            json.dump({
+                "ground": ["x", "y"],
+                "members": [
+                    {"id": "u", "set": ["x", "y"], "group": 0},
+                    {"id": "v", "set": ["x"], "group": 1},
+                ],
+            }, fh)
+        for argv in (
+            ["check", path],
+            ["hom", path],
+            ["cert", path, "t0"],
+            ["cert", fam_path, "rank", "--member", "u", "--phi", path],
+        ):
+            code, _, err = _call(argv)
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
