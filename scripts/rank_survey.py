@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from wallman import gen
 from wallman.covers import phi_from_witness, rank_upper_bound, stabilized_rank
+from wallman.errors import OracleDisagreement
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,11 @@ def run(cfg: SurveyConfig) -> None:
         for uid in sorted(F.by_id()):
             length, _ = stabilized_rank(F, phi, uid)
             bound = rank_upper_bound(F, phi, uid)
-            assert length <= bound, (i, uid)
+            if length > bound:
+                raise OracleDisagreement(
+                    f"family {i}, member {uid}: rank {length} "
+                    f"exceeds its bound {bound}"
+                )
             ranks[length] += 1
             slack[bound - length] += 1
             samples += 1

@@ -28,7 +28,7 @@ from .lattice import (
     FiniteLattice,
     atoms,
     is_distributive,
-    join_irreducibles,
+    join_primes,
 )
 
 DEFAULT_EXHAUSTIVE_CAP = 18
@@ -202,9 +202,9 @@ def enumerate_filters(
     """List filters of a class, sorted by their minimum element id.
 
     brute walks principal filters and applies the definitional class
-    predicate; fast uses atoms (ultra) / join-irreducibles (prime) and
-    requires verified distributivity; exhaustive scans all upward-closed
-    subsets (|L| capped, see WALLMAN_MAX_BRUTE).
+    predicate; fast uses atoms (ultra) / the memoized join-primes (prime,
+    as build_space does) and requires verified distributivity; exhaustive
+    scans all upward-closed subsets (|L| capped, see WALLMAN_MAX_BRUTE).
     """
     if kind not in ("all", "prime", "ultra"):
         raise ValueError(f"unknown filter class {kind!r}")
@@ -218,7 +218,7 @@ def enumerate_filters(
         if kind == "ultra":
             gens = atoms(L)
         elif kind == "prime":
-            gens = join_irreducibles(L)
+            gens = join_primes(L)
         else:
             gens = [a for a in range(L.n) if a != L.bottom]
         tag = "filter" if kind == "all" else kind

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bits import bit, iter_bits, union_closure
+from .bits import bit, iter_bits, mask_of, union_closure
 from .errors import (
     NotAHom,
     NotComposable,
@@ -166,19 +166,30 @@ def induced_map(
 
 
 def is_separative_hom(h: LatticeHom) -> tuple:
-    """h(a)∧b = 0 forces some c with a∧c = 0 and b <= h(c)."""
+    """h(a)∧b = 0 forces some c with a∧c = 0 and b <= h(c).
+
+    For each a the b that fail are those disjoint from h(a) and below no
+    h(c) with c disjoint from a: disj_L[h(a)] minus the union of ↓h(c)
+    over c in disj_K[a].  The first failing a with its lowest such b is
+    the first pair of the definitional (a, b) scan.  The masks are read
+    by meets and comparisons, L's only at the images: n_K² + 2·|h(K)|·n_L
+    lookups where the scan made up to n_K²·n_L, and no order rows, so
+    neither lattice is held to SIZE_CAP.
+    """
     _require_hom(h)
     K, L = h.source, h.target
+    below, disj_l = {}, {}
+    for y in set(h.map):
+        below[y] = mask_of(b for b in range(L.n) if L.leq(b, y))
+        disj_l[y] = mask_of(b for b in range(L.n) if L.meet(y, b) == L.bottom)
     for a in range(K.n):
-        ha = h(a)
-        for b in range(L.n):
-            if L.meet(ha, b) != L.bottom:
-                continue
-            if not any(
-                K.meet(a, c) == K.bottom and L.leq(b, h(c))
-                for c in range(K.n)
-            ):
-                return (False, (a, b))
+        covered = 0
+        for c in range(K.n):
+            if K.meet(a, c) == K.bottom:
+                covered |= below[h(c)]
+        bad = disj_l[h(a)] & ~covered
+        if bad:
+            return (False, (a, (bad & -bad).bit_length() - 1))
     return (True, None)
 
 

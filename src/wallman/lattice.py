@@ -213,28 +213,41 @@ class FiniteLattice:
     def materialize_rows(self) -> None:
         """Compute and store the full order relation (keyed lattices).
 
-        For each ground point g, holds[g] is the set of elements whose key
-        contains g; the up-row of a is then the intersection of holds[g]
-        over the points g of its key.  That costs twice the total key size
-        in big-int operations instead of n² key comparisons.
+        For each ground point g (a point of the top key), holds[g] is the
+        set of elements whose key contains g.  The up-row of a is the
+        intersection of holds[g] over the points g of its key; b <= a iff
+        key b holds no point outside key a, so the down-row of a is the
+        full mask minus the union of holds[g] over the other points.  That
+        costs 2·n·|ground| big-int operations instead of n² key
+        comparisons and a transpose.
         """
         if self._up is not None:
             return
         if self.n > SIZE_CAP:
             raise TooLarge("relation rows beyond the size cap")
-        holds = {}
-        for j, kj in enumerate(self.keys):
-            for g in iter_bits(kj):
-                holds[g] = holds.get(g, 0) | bit(j)
         full = self.full_mask
+        ground = list(iter_bits(self.keys[self.top]))
+        holds = []
+        for g in ground:
+            m = 0
+            for j, kj in enumerate(self.keys):
+                if kj >> g & 1:
+                    m |= 1 << j
+            holds.append(m)
         up = []
+        down = []
         for ka in self.keys:
-            m = full
-            for g in iter_bits(ka):
-                m &= holds[g]
-            up.append(m)
+            u = full
+            d = 0
+            for g, h in zip(ground, holds):
+                if ka >> g & 1:
+                    u &= h
+                else:
+                    d |= h
+            up.append(u)
+            down.append(full & ~d)
         self._up = up
-        self._down = transpose(up)
+        self._down = down
 
     # -- conveniences --------------------------------------------------
 
@@ -436,7 +449,8 @@ def is_distributive(L: FiniteLattice, force_scan: bool = False):
     join-irreducible j equals j∧a or j∧b.  If every j is join-prime,
     a ↦ J↓(a) (the join-irreducibles below a) maps joins to unions and
     meets to intersections, and it is injective since a = ⋁J↓(a); L
-    embeds in a powerset and is distributive.  Cost: |J|·n joins.
+    embeds in a powerset and is distributive.  Cost: two set lookups per
+    element over the order rows (join_primes, join_irreducibles).
 
     When the route finds a failure, the witness is the first failing
     triple (a, b, c) of the definitional scan, run only then.  With
@@ -467,36 +481,51 @@ def _distributivity_scan(L: FiniteLattice):
     return (True, None)
 
 
+def _avoid_masks(L: FiniteLattice, rows: list, dual: list) -> list:
+    """out[x] = full minus the union of rows[e] over the e in dual[x] whose
+    dual row holds exactly two elements.
+
+    With rows = up and dual = down those e are the atoms below x; with
+    rows = down and dual = up, dually, the coatoms above x.
+    """
+    full = L.full_mask
+    ends = mask_of(e for e in range(L.n) if popcount(dual[e]) == 2)
+    out = []
+    for d in dual:
+        m = 0
+        for e in iter_bits(d & ends):
+            m |= rows[e]
+        out.append(full & ~m)
+    return out
+
+
 def _disjoint_masks(L: FiniteLattice) -> list:
-    """disj[b] = bitset of c with c∧b = 0."""
+    """disj[b] = bitset of c with c∧b = 0.
+
+    Every element above 0 of a finite lattice lies above an atom, so
+    c∧b > 0 iff some atom t lies below c∧b, that is below both c and b.
+    Hence disj[b] is the full mask minus the union of ↑t over the atoms
+    t <= b: O(n·|atoms|) big-int operations, no meet.
+    """
 
     def compute():
-        bot = L.bottom
-        out = []
-        for b_ in range(L.n):
-            m = 0
-            for c in range(L.n):
-                if L.meet(c, b_) == bot:
-                    m |= bit(c)
-            out.append(m)
-        return out
+        L.materialize_rows()
+        return _avoid_masks(L, L._up, L._down)
 
     return L._memo("disj", compute)
 
 
 def _join_to_top_masks(L: FiniteLattice) -> list:
-    """cover[a] = bitset of x with a∨x = 1."""
+    """cover[a] = bitset of x with a∨x = 1.
+
+    Dually to _disjoint_masks: every element below 1 lies below a coatom,
+    so a∨x < 1 iff some coatom lies above both a and x, and cover[a] is
+    the full mask minus the union of ↓c over the coatoms c >= a.
+    """
 
     def compute():
-        top = L.top
-        out = []
-        for a in range(L.n):
-            m = 0
-            for x in range(L.n):
-                if L.join(a, x) == top:
-                    m |= bit(x)
-            out.append(m)
-        return out
+        L.materialize_rows()
+        return _avoid_masks(L, L._down, L._up)
 
     return L._memo("jointop", compute)
 
@@ -507,6 +536,13 @@ def is_normal(L: FiniteLattice, require_distributive: bool = True):
     Distributivity is a convention of the source notion; by default its
     failure raises NotDistributive, with require_distributive=False the
     bare predicate is evaluated anyway.  Returns (flag, witness_pair).
+
+    a1∨b1 = 1 is symmetric in a1 and b1, so the a1 that work for a (some
+    b1 with a∧b1 = 0 and a1∨b1 = 1) form R[a], the union of cover[b1]
+    over b1 in disj[a].  The pair (a, b) fails iff disj[b] misses R[a]:
+    one mask test per pair, with the pairs walked in the order of the
+    definitional scan (a, then b >= a), so the witness is its first
+    failing pair.
     """
     dist, wit = is_distributive(L)
     if require_distributive and not dist:
@@ -515,19 +551,17 @@ def is_normal(L: FiniteLattice, require_distributive: bool = True):
         )
 
     def compute():
-        bot = L.bottom
         disj = _disjoint_masks(L)
         jointop = _join_to_top_masks(L)
         for a in range(L.n):
-            for b in iter_bits(disj[a]):
-                if b < a:
-                    continue
-                ok = False
-                for a1 in iter_bits(disj[b]):
-                    if disj[a] & jointop[a1]:
-                        ok = True
-                        break
-                if not ok:
+            pairs = disj[a] >> a << a
+            if not pairs:
+                continue
+            reach = 0
+            for b1 in iter_bits(disj[a]):
+                reach |= jointop[b1]
+            for b in iter_bits(pairs):
+                if not disj[b] & reach:
                     return (False, (a, b))
         return (True, None)
 
@@ -535,21 +569,29 @@ def is_normal(L: FiniteLattice, require_distributive: bool = True):
 
 
 def is_separative(L: FiniteLattice):
-    """0 < a ≰ b implies some c > 0 with c <= a and c∧b = 0."""
+    """0 < a ≰ b implies some c > 0 with c <= a and c∧b = 0.
+
+    Such a c exists iff some atom t <= a has t ≰ b: an atom below c is
+    below a and disjoint from b, and an atom t ≰ b has t∧b = 0, so t is
+    itself a witness.  So the b that fail for a are those above every
+    atom below a but not above a: the intersection of ↑t over the atoms
+    t <= a, minus ↑a.  The first failing a with its lowest such b is the
+    first pair of the definitional (a, b) scan.
+    """
 
     def compute():
-        bot = L.bottom
-        nonbot = L.full_mask & ~bit(bot)
-        disj = _disjoint_masks(L)
+        L.materialize_rows()
+        up, down = L._up, L._down
+        atom_mask = mask_of(atoms(L))
         for a in range(L.n):
-            if a == bot:
+            if a == L.bottom:
                 continue
-            da = L.down_mask(a) & nonbot
-            for b_ in range(L.n):
-                if L.leq(a, b_):
-                    continue
-                if not da & disj[b_]:
-                    return (False, (a, b_))
+            common = L.full_mask
+            for t in iter_bits(down[a] & atom_mask):
+                common &= up[t]
+            bad = common & ~up[a]
+            if bad:
+                return (False, (a, (bad & -bad).bit_length() - 1))
         return (True, None)
 
     return L._memo("separative", compute)
@@ -618,22 +660,25 @@ def opposite(L: FiniteLattice) -> FiniteLattice:
 
 
 def generated_sublattice(L: FiniteLattice, M: Iterable[int]) -> frozenset:
-    """Smallest sublattice containing M and the bounds (closure iteration)."""
-    cur = set(M) | {L.bottom, L.top}
-    while True:
-        items = list(cur)
-        new = set()
-        for i, a in enumerate(items):
-            for b_ in items[i + 1 :]:
-                m = L.meet(a, b_)
-                j = L.join(a, b_)
-                if m not in cur:
-                    new.add(m)
-                if j not in cur:
-                    new.add(j)
-        if not new:
-            return frozenset(cur)
-        cur |= new
+    """Smallest sublattice containing M and the bounds (worklist closure).
+
+    Each element, once taken off the worklist, is met and joined with the
+    elements taken before it, and every result not yet found joins the
+    worklist.  So every pair of distinct elements is combined once, and
+    when the worklist runs dry the found set is closed under ∧ and ∨.
+    """
+    found = set(M) | {L.bottom, L.top}
+    todo = list(found)
+    done = []
+    while todo:
+        a = todo.pop()
+        for b_ in done:
+            for c in (L.meet(a, b_), L.join(a, b_)):
+                if c not in found:
+                    found.add(c)
+                    todo.append(c)
+        done.append(a)
+    return frozenset(found)
 
 
 def is_generating(L: FiniteLattice, M: Iterable[int]) -> bool:
@@ -707,22 +752,18 @@ def join_primes(L: FiniteLattice) -> tuple:
 
     j is join-prime iff j ≰ s, the join of all x with j ≰ x: if j ≰ s,
     j ≰ a and j ≰ b give a∨b <= s; if j <= s, j lies below a join of
-    elements none of which is above it.  Join-primes are join-irreducible
-    (j = a∨b with a, b < j breaks the law), so only J(L) is tested:
-    |J|·n joins.
+    elements none of which is above it.  And j ≰ s iff L∖↑j is a
+    principal down-set ↓m: if j ≰ s, then s lies in L∖↑j and bounds it,
+    and every x <= s lies outside ↑j, so L∖↑j = ↓s; if L∖↑j = ↓m, then
+    s = m, which lies outside ↑j.  So the test is one set lookup per j
+    among the down-rows, as in join_irreducibles; j = 0 fails it, since
+    L∖↑0 is empty and every down-row holds 0.
     """
 
     def compute():
-        join = L.join
+        L.materialize_rows()
+        rows = set(L._down)
         full = L.full_mask
-        out = []
-        for j in join_irreducibles(L):
-            up_j = L.up_mask(j)
-            s = L.bottom
-            for x in iter_bits(full & ~up_j):
-                s = join(s, x)
-            if not up_j >> s & 1:
-                out.append(j)
-        return tuple(out)
+        return tuple(j for j in range(L.n) if full & ~L._up[j] in rows)
 
     return L._memo("join_primes", compute)

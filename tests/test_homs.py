@@ -7,6 +7,7 @@ from test_lattice import closure_system_lattices
 from test_spaces import oracle_lattices, ref_closed_family
 
 from wallman import gen, homs
+from wallman.bits import mask_of
 from wallman.errors import NotComposable, OracleDisagreement, PreconditionFailed
 from wallman.filters import is_prime, ultrafilter_extensions
 from wallman.homs import (
@@ -24,7 +25,13 @@ from wallman.homs import (
     surjectivity_from_kernel,
     verify_hom,
 )
-from wallman.lattice import is_boolean, opposite
+from wallman.lattice import (
+    SIZE_CAP,
+    is_boolean,
+    join_primes,
+    opposite,
+    powerset_lattice,
+)
 from wallman.spaces import build_space
 
 
@@ -116,6 +123,79 @@ def test_separative_hom_random_boolean():
         )
         assert verify_hom(h)[0]
         assert is_separative_hom(h)[0]
+
+
+def ref_is_separative_hom(h):
+    """First (a, b) with h(a)∧b = 0 and no c, a∧c = 0, with b <= h(c)."""
+    K, L = h.source, h.target
+    for a in range(K.n):
+        for b in range(L.n):
+            if L.meet(h(a), b) != L.bottom:
+                continue
+            if not any(
+                K.meet(a, c) == K.bottom and L.leq(b, h(c)) for c in range(K.n)
+            ):
+                return (False, (a, b))
+    return (True, None)
+
+
+def prime_filter_homs(L, rng):
+    """Homs L -> 2^k, a ↦ {i : jᵢ <= a}, for lists of join-primes jᵢ: each
+    ↑jᵢ is a prime filter, so each coordinate is a hom onto 2.  The lists
+    are every single join-prime, every pair in both orders, all of them,
+    and a few random ones."""
+    primes = list(join_primes(L))
+    lists = [[j] for j in primes]
+    lists += [[i, j] for i in primes for j in primes if i != j]
+    lists.append(primes)
+    for _ in range(3):
+        lists.append(rng.sample(primes, rng.randint(0, len(primes))))
+    for gens in lists:
+        B = powerset_lattice(len(gens))  # element id = key
+        image = [
+            mask_of(i for i, j in enumerate(gens) if L.leq(j, a)) for a in range(L.n)
+        ]
+        yield LatticeHom(L, B, tuple(image))
+
+
+def check_separative_hom(h):
+    verdict = is_separative_hom(h)
+    assert verdict == ref_is_separative_hom(h)
+    return verdict[0]
+
+
+def test_separative_hom_matches_reference(corpus, quotient, embedding):
+    rng = random.Random(0)
+    homs_ = [quotient, embedding] + [
+        h for L in oracle_lattices(corpus) for h in prime_filter_homs(L, rng)
+    ]
+    homs_ += [
+        gen.random_boolean_hom(
+            gen.boolean_algebra(j), gen.boolean_algebra(k), seed
+        )
+        for j in range(1, 4)
+        for k in range(1, 4)
+        for seed in range(3)
+    ]
+    assert {check_separative_hom(h) for h in homs_} == {True, False}
+
+
+def test_separative_hom_target_above_size_cap(corpus):
+    """The hom test reads the target at the images only, so a keyed target
+    above SIZE_CAP needs no order rows: chain3 -> 2 -> 2^13."""
+    P = powerset_lattice(13)
+    assert P.n > SIZE_CAP
+    top = P.names[P.top]
+    h = hom_by_names(corpus["chain3"], P, [("0", "{}"), ("m", "{}"), ("1", top)])
+    assert check_separative_hom(h) is False
+    assert is_separative_hom(h) == (False, (1, 1))
+
+
+@given(closure_system_lattices(), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_separative_hom_matches_reference_on_closure_systems(L, rng):
+    for h in prime_filter_homs(L, rng):
+        check_separative_hom(h)
 
 
 def test_separativity_equivalence_identity(corpus):

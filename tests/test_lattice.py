@@ -6,14 +6,24 @@ from hypothesis import strategies as st
 
 from wallman import gen
 from wallman.bits import (
+    iter_bits,
     mask_of,
     reflexive_transitive_closure,
     subset,
     transpose,
 )
-from wallman.errors import NoBounds, NotALattice, NotAPoset, NotDistributive
+from wallman.errors import (
+    NoBounds,
+    NotALattice,
+    NotAPoset,
+    NotDistributive,
+    TooLarge,
+)
 from wallman.lattice import (
+    SIZE_CAP,
     FiniteLattice,
+    _disjoint_masks,
+    _join_to_top_masks,
     _scan_bound,
     atoms,
     attach_bottom,
@@ -25,6 +35,7 @@ from wallman.lattice import (
     is_normal,
     is_separative,
     join_irreducibles,
+    join_primes,
     lattice_report,
     load_lattice,
     opposite,
@@ -55,6 +66,17 @@ def closure_system_lattices(draw):
         mask_of(j for j, t in enumerate(keys) if subset(s, t)) for s in keys
     ]
     return FiniteLattice.from_up_rows([str(s) for s in keys], up)
+
+
+def oracle_lattices(corpus):
+    """The fixtures, their opposites, attach_bottom of both, and seeded
+    down-set lattices of up to 64 elements."""
+    out = []
+    for L in corpus.values():
+        for M in (L, opposite(L)):
+            out += [M, attach_bottom(M)]
+    out += [gen.random_downset_lattice(1 + seed % 6, seed) for seed in range(40)]
+    return out
 
 
 def _reference_tables(names, down, up):
@@ -234,6 +256,140 @@ def test_non_lattice_errors_match_scan_bound():
         assert got == want
         outcomes.add(isinstance(want[0], str))
     assert outcomes == {True, False}
+
+
+# -- structural predicates against their pairwise definitions --------------
+
+
+def ref_disjoint_masks(L):
+    """disj[b] = {c : c∧b = 0}, one meet per pair."""
+    return [
+        mask_of(c for c in range(L.n) if L.meet(c, b) == L.bottom)
+        for b in range(L.n)
+    ]
+
+
+def ref_join_to_top_masks(L):
+    """cover[a] = {x : a∨x = 1}, one join per pair."""
+    return [
+        mask_of(x for x in range(L.n) if L.join(a, x) == L.top)
+        for a in range(L.n)
+    ]
+
+
+def ref_is_separative(L):
+    """First (a, b), 0 < a ≰ b, with no c in (0, a] disjoint from b."""
+    disj = ref_disjoint_masks(L)
+    nonbot = L.full_mask & ~(1 << L.bottom)
+    for a in range(L.n):
+        if a == L.bottom:
+            continue
+        below = L.down_mask(a) & nonbot
+        for b in range(L.n):
+            if not L.leq(a, b) and not below & disj[b]:
+                return (False, (a, b))
+    return (True, None)
+
+
+def ref_is_normal(L):
+    """First disjoint pair (a, b), b >= a, with no a1 disjoint from b and
+    b1 disjoint from a such that a1∨b1 = 1."""
+    disj = ref_disjoint_masks(L)
+    jointop = ref_join_to_top_masks(L)
+    for a in range(L.n):
+        for b in iter_bits(disj[a]):
+            if b >= a and not any(
+                disj[a] & jointop[a1] for a1 in iter_bits(disj[b])
+            ):
+                return (False, (a, b))
+    return (True, None)
+
+
+def ref_join_primes(L):
+    """The j > 0 not below the join of all elements outside ↑j."""
+    out = []
+    for j in range(L.n):
+        if j == L.bottom:
+            continue
+        s = L.bottom
+        for x in iter_bits(L.full_mask & ~L.up_mask(j)):
+            s = L.join(s, x)
+        if not L.leq(j, s):
+            out.append(j)
+    return tuple(out)
+
+
+def check_predicates(L):
+    """Masks, verdicts and witnesses against the references; returns the
+    (separative, normal) verdicts."""
+    disj, jointop = ref_disjoint_masks(L), ref_join_to_top_masks(L)
+    assert _disjoint_masks(L) == disj
+    assert _join_to_top_masks(L) == jointop
+    sep = is_separative(L)
+    assert sep == ref_is_separative(L)
+    norm = is_normal(L, require_distributive=False)
+    assert norm == ref_is_normal(L)
+    assert join_primes(L) == ref_join_primes(L)
+    dist = is_distributive(L, force_scan=True)[0]
+    assert is_boolean(L) == (dist and all(d & j for d, j in zip(disj, jointop)))
+    return sep[0], norm[0]
+
+
+def test_predicates_match_references(corpus):
+    seen = {check_predicates(L) for L in oracle_lattices(corpus)}
+    # both verdicts of each predicate occur, so witnesses are compared
+    assert {s for s, _ in seen} == {n for _, n in seen} == {True, False}
+
+
+@given(closure_system_lattices())
+@settings(max_examples=150, deadline=None)
+def test_predicates_match_references_on_closure_systems(L):
+    check_predicates(L)
+
+
+def test_predicates_above_size_cap():
+    """A keyed lattice above SIZE_CAP: the predicates need its order rows
+    and raise TooLarge, as before, when they ask for them (is_normal
+    through its distributivity check); atoms and generated sublattices
+    need no rows."""
+    P = powerset_lattice(13)
+    assert P.n > SIZE_CAP
+    with pytest.raises(TooLarge):
+        is_separative(P)
+    with pytest.raises(TooLarge):
+        is_normal(P, require_distributive=False)
+    assert len(atoms(P)) == 13
+    assert generated_sublattice(P, [1, 2]) == frozenset({0, 1, 2, 3, P.top})
+
+
+def ref_generated_sublattice(L, M):
+    """Pairwise fixpoint: rescan every pair until no meet or join is new."""
+    cur = set(M) | {L.bottom, L.top}
+    while True:
+        new = {
+            c
+            for a in cur
+            for b in cur
+            for c in (L.meet(a, b), L.join(a, b))
+        } - cur
+        if not new:
+            return frozenset(cur)
+        cur |= new
+
+
+def test_generated_sublattice_matches_fixpoint(corpus):
+    rng = random.Random(0)
+    for L in oracle_lattices(corpus):
+        for size in (0, 1, 2, 3, L.n):
+            M = rng.sample(range(L.n), min(size, L.n))
+            assert generated_sublattice(L, M) == ref_generated_sublattice(L, M)
+
+
+@given(closure_system_lattices(), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_generated_sublattice_matches_fixpoint_on_closure_systems(L, rng):
+    M = rng.sample(range(L.n), rng.randint(0, min(3, L.n)))
+    assert generated_sublattice(L, M) == ref_generated_sublattice(L, M)
 
 
 # -- keyed mode -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The package holds no assert statement.
+"""The package and the scripts hold no assert statement.
 
 python -O strips asserts, so a verdict or consistency check written as one
 would silently change under -O; internal checks raise typed errors instead.
@@ -7,12 +7,14 @@ would silently change under -O; internal checks raise typed errors instead.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "wallman"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wallman"
+SCRIPTS = ROOT / "scripts"
 
 
 def test_no_assert_in_package():
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [
             f"{path.name}:{node.lineno}"

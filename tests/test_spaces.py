@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_lattice import closure_system_lattices
+from test_lattice import closure_system_lattices, oracle_lattices
 
 from wallman import gen
 from wallman.errors import (
@@ -11,7 +11,7 @@ from wallman.errors import (
     PreconditionFailed,
 )
 from wallman.filters import enumerate_filters, is_prime, principal_filter
-from wallman.lattice import atoms, attach_bottom, is_distributive, opposite
+from wallman.lattice import atoms, is_distributive, opposite
 from wallman.spaces import (
     SeparationReport,
     alexander_check,
@@ -243,17 +243,6 @@ def test_space_routes_on_fixtures(corpus):
 @settings(max_examples=150, deadline=None)
 def test_space_routes_on_closure_systems(L):
     check_space_routes(L)
-
-
-def oracle_lattices(corpus):
-    """The fixtures, their opposites, attach_bottom of both, and seeded
-    down-set lattices of up to 64 elements."""
-    out = []
-    for L in corpus.values():
-        for M in (L, opposite(L)):
-            out += [M, attach_bottom(M)]
-    out += [gen.random_downset_lattice(1 + seed % 6, seed) for seed in range(40)]
-    return out
 
 
 def ref_hom_law(S):
