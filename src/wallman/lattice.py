@@ -3,12 +3,15 @@
 Elements are dense integer ids in input order.  All element sets are bitsets
 (plain ints).  Two storage modes exist:
 
-* table mode: the full order relation plus precomputed meet/join tables
-  (built at load time for n <= TABLE_CAP, on demand up to SIZE_CAP);
+* table mode: the full order relation as up and down rows, plus two dicts
+  from row to element id: a∧b is the element whose down-row is
+  down[a] & down[b], a∨b the one whose up-row is up[a] & up[b];
 * keyed mode: every element carries a set-key (a bitmask over some ground
   set) such that leq is key inclusion and meet/join are key & / |.  This is
-  how generated down-set lattices and powerset algebras are represented and
-  it scales past the table cap.
+  how generated down-set lattices and powerset algebras are represented.
+
+Both modes answer meet and join with one dict lookup, at every size up to
+SIZE_CAP.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
 )
 
 SIZE_CAP = 4096
-TABLE_CAP = 1024
 
 
 class FiniteLattice:
@@ -50,8 +52,8 @@ class FiniteLattice:
         "_key_index",
         "_up",
         "_down",
-        "_meet",
-        "_join",
+        "_meet_of",
+        "_join_of",
         "_cache",
     )
 
@@ -68,8 +70,8 @@ class FiniteLattice:
         obj._key_index = None
         obj._up = None
         obj._down = None
-        obj._meet = None
-        obj._join = None
+        obj._meet_of = None
+        obj._join_of = None
         obj._cache = {}
         return obj
 
@@ -81,7 +83,30 @@ class FiniteLattice:
         name: Optional[str] = None,
         check: bool = True,
     ) -> "FiniteLattice":
-        """Build from the full order relation (up_rows[i] = {j : i <= j})."""
+        """Build from the full order relation (up_rows[i] = {j : i <= j}).
+
+        With check, the rows are first checked, element by element, to be
+        reflexive, antisymmetric and transitive.  Without it they must be
+        a preorder already (load_lattice takes the reflexive-transitive
+        closure); antisymmetry is tested at every call after the
+        transpose: up[i] & down[i] holds some j != i exactly when i <= j
+        <= i, and the lowest such j is the witness.  Antisymmetry also
+        makes the rows of distinct elements distinct, so the dicts from
+        row to id below are well defined.
+
+        The lattice check tests meets only, and only on incomparable
+        pairs.  A comparable pair has its smaller element as meet.  For
+        any a, b, cand = ↓a ∩ ↓b is a down-set holding the bottom; it has
+        a greatest element g iff cand = ↓g, that is iff cand is a down-row.
+        Once every pair has a meet, every pair has a join: a∨b is the meet
+        of the common upper bounds of a and b, a set that holds the top,
+        and a finite nonempty set has a meet when every pair does (Davey &
+        Priestley, Introduction to Lattices and Order, 2nd ed., ch. 2).
+        So join needs no check, and the first failing pair (a, b), a < b,
+        in id order is the NotALattice witness.  Cost: one AND and one set
+        lookup per incomparable pair at load; meet and join are then one
+        dict lookup each.
+        """
         n = len(names)
         if n == 0:
             raise NotALattice("a lattice needs at least one element")
@@ -104,6 +129,13 @@ class FiniteLattice:
                             f"transitivity fails at {names[i]} <= {names[j]}"
                         )
         down = transpose(up)
+        for i in range(n):
+            both = up[i] & down[i] & ~bit(i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise NotAPoset(
+                    f"antisymmetry fails on {names[i]}, {names[j]}"
+                )
         full = bit(n) - 1
         bottom = top = -1
         for i in range(n):
@@ -113,6 +145,15 @@ class FiniteLattice:
                 top = i
         if bottom < 0 or top < 0:
             raise NoBounds("the poset lacks a least or a greatest element")
+        meet_of = {row: i for i, row in enumerate(down)}
+        for a in range(n):
+            da = down[a]
+            for b in iter_bits((full & ~(up[a] | da)) >> a << a):
+                if da & down[b] not in meet_of:
+                    raise NotALattice(
+                        f"{names[a]}, {names[b]} lack a greatest common bound",
+                        witness=(a, b),
+                    )
         obj = cls._blank()
         obj.name = name
         obj.names = tuple(names)
@@ -121,9 +162,8 @@ class FiniteLattice:
         obj.top = top
         obj._up = up
         obj._down = down
-        if n <= TABLE_CAP:
-            obj._meet = _build_table(names, down)
-            obj._join = _build_table(names, up)
+        obj._meet_of = meet_of
+        obj._join_of = {row: i for i, row in enumerate(up)}
         return obj
 
     @classmethod
@@ -185,18 +225,14 @@ class FiniteLattice:
         return subset(self.keys[a], self.keys[b])
 
     def meet(self, a: int, b: int) -> int:
-        if self._meet is not None:
-            return self._meet[a][b]
         if self.keys is not None:
             return self._key_index[self.keys[a] & self.keys[b]]
-        return _scan_bound(self.names, self._down, a, b)
+        return self._meet_of[self._down[a] & self._down[b]]
 
     def join(self, a: int, b: int) -> int:
-        if self._join is not None:
-            return self._join[a][b]
         if self.keys is not None:
             return self._key_index[self.keys[a] | self.keys[b]]
-        return _scan_bound(self.names, self._up, a, b)
+        return self._join_of[self._up[a] & self._up[b]]
 
     def up_mask(self, a: int) -> int:
         """Bitset of all elements >= a."""
@@ -294,76 +330,6 @@ def _key_name(key: int) -> str:
     return "{" + ",".join(str(i) for i in iter_bits(key)) + "}"
 
 
-def _scan_bound(names, rows, a: int, b: int) -> int:
-    """Greatest element of rows[a] & rows[b]; rows=down gives meet."""
-    cand = rows[a] & rows[b]
-    if cand == 0:
-        raise NotALattice(
-            f"{names[a]}, {names[b]} have no common bound", witness=(a, b)
-        )
-    best = -1
-    best_pc = -1
-    for c in iter_bits(cand):
-        pc = popcount(rows[c])
-        if pc > best_pc:
-            best, best_pc = c, pc
-    if not subset(cand, rows[best]):
-        raise NotALattice(
-            f"{names[a]}, {names[b]} lack a greatest common bound",
-            witness=(a, b),
-        )
-    return best
-
-
-def _build_table(names, rows) -> list:
-    """Table of _scan_bound over all pairs, in O(n²) big-int operations.
-
-    Read rows[c] as the set of elements "below" c (down rows: the order
-    itself, giving meets; up rows: its dual, giving joins).  c strictly
-    below d makes rows[c] a proper subset of rows[d], so sorting by
-    popcount(rows[c]) is a linear extension; the bits are relabelled by
-    position in it.  If cand = rows[a] & rows[b] has a greatest element g,
-    every c in cand lies below g and so sits at a lower position: g can
-    only be the highest bit of the relabelled cand.  The two exact checks
-    of _scan_bound stay (cand nonempty, cand ⊆ rows[g]), so a pair without
-    a greatest common bound still raises, and pairs are visited in the
-    same order: the first failing pair, its message and its witness are
-    those of _scan_bound.
-    """
-    n = len(rows)
-    order = sorted(range(n), key=lambda c: popcount(rows[c]))
-    pos = [0] * n
-    for p, c in enumerate(order):
-        pos[c] = p
-    rel = []
-    for row in rows:
-        m = 0
-        for x in iter_bits(row):
-            m |= 1 << pos[x]
-        rel.append(m)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        ta = table[a]
-        ta[a] = a
-        ra = rel[a]
-        for b in range(a + 1, n):
-            cand = ra & rel[b]
-            if cand == 0:
-                raise NotALattice(
-                    f"{names[a]}, {names[b]} have no common bound",
-                    witness=(a, b),
-                )
-            c = order[cand.bit_length() - 1]
-            if cand & ~rel[c]:
-                raise NotALattice(
-                    f"{names[a]}, {names[b]} lack a greatest common bound",
-                    witness=(a, b),
-                )
-            ta[b] = c
-            table[b][a] = c
-    return table
-
-
 # ---------------------------------------------------------------------------
 # loading
 
@@ -373,14 +339,19 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
 
     The description holds "elements" (unique strings) and exactly one of
     "covers" or "leq", each a list of [lo, hi] name pairs.  leq is completed
-    to its reflexive-transitive closure; meet/join tables are computed with
-    an exhaustive inf/sup existence check.
+    to its reflexive-transitive closure, and from_up_rows checks that the
+    result is antisymmetric, bounded and has every binary meet.
     """
     if not isinstance(spec, Mapping) or "elements" not in spec:
         raise ValueError('lattice description needs an "elements" list')
-    if not isinstance(spec["elements"], list):
+    names = spec["elements"]
+    if not isinstance(names, list):
         raise ValueError('lattice field "elements" is not a list')
-    names = [str(x) for x in spec["elements"]]
+    for x in names:
+        if not isinstance(x, str):
+            raise ValueError(
+                f'lattice field "elements" holds {x!r}, not a string'
+            )
     if len(set(names)) != len(names):
         raise ValueError("element names must be unique")
     has_covers = "covers" in spec
@@ -408,15 +379,11 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
         if not known or lo not in idx or hi not in idx:
             raise ValueError(f"unknown element in pair [{lo!r}, {hi!r}]")
         rows[idx[lo]] |= bit(idx[hi])
-    rows = reflexive_transitive_closure(rows)
-    for i in range(n):
-        for j in iter_bits(rows[i]):
-            if j != i and rows[j] >> i & 1:
-                raise NotAPoset(
-                    f"antisymmetry fails on {names[i]}, {names[j]}"
-                )
     return FiniteLattice.from_up_rows(
-        names, rows, name=spec.get("name"), check=False
+        names,
+        reflexive_transitive_closure(rows),
+        name=spec.get("name"),
+        check=False,
     )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import pathlib
@@ -362,6 +363,11 @@ def test_cli_cert_bad_family_file(capsys, tmp_path, raw, message):
 @pytest.mark.parametrize("raw, message", [
     ({"elements": "ab", "covers": []}, 'lattice field "elements" is not a list'),
     (
+        {"elements": [0, 1], "covers": [[0, 1]]},
+        'lattice field "elements" holds 0, not a string',
+    ),
+    ({"elements": [0], "covers": []}, 'lattice field "elements" holds 0, not a string'),
+    (
         {"elements": ["a", "b"], "leq": [["a"]]},
         """lattice field "leq" holds ['a'], not a [lo, hi] pair""",
     ),
@@ -494,6 +500,13 @@ def test_cli_runs_under_optimize_OO():
     a.pop("timings_ms")
     b.pop("timings_ms")
     assert a == b
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_corpus_suite_output_unchanged(flags):
+    out = _python(*flags, str(_ROOT / "scripts" / "corpus_suite.py"))
+    assert out.returncode == 0 and out.stderr == b""
+    assert hashlib.md5(out.stdout).hexdigest() == "3f0662ea2a460a53ec982d166ce2614d"
 
 
 # -- fuzzed input files ---------------------------------------------------------

@@ -1,13 +1,15 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallman import gen
+from wallman import cli, gen
 from wallman.bits import (
     iter_bits,
     mask_of,
+    popcount,
     reflexive_transitive_closure,
     subset,
     transpose,
@@ -24,7 +26,6 @@ from wallman.lattice import (
     FiniteLattice,
     _disjoint_masks,
     _join_to_top_masks,
-    _scan_bound,
     atoms,
     attach_bottom,
     chain_lattice,
@@ -79,12 +80,46 @@ def oracle_lattices(corpus):
     return out
 
 
+def _scan_bound(names, rows, a: int, b: int) -> int:
+    """Greatest element of rows[a] & rows[b]; rows=down gives meet.
+
+    The definitional reference: the candidate of largest row is the only
+    one that can be greatest, and it is iff every candidate lies below it.
+    """
+    cand = rows[a] & rows[b]
+    if cand == 0:
+        raise NotALattice(
+            f"{names[a]}, {names[b]} have no common bound", witness=(a, b)
+        )
+    best = -1
+    best_pc = -1
+    for c in iter_bits(cand):
+        pc = popcount(rows[c])
+        if pc > best_pc:
+            best, best_pc = c, pc
+    if not subset(cand, rows[best]):
+        raise NotALattice(
+            f"{names[a]}, {names[b]} lack a greatest common bound",
+            witness=(a, b),
+        )
+    return best
+
+
 def _reference_tables(names, down, up):
-    """Meet and join tables by a _scan_bound call per pair."""
+    """Meet and join tables by a _scan_bound call per pair, all meets
+    first, pairs in id order."""
     n = len(names)
     return tuple(
         [[_scan_bound(names, rows, a, b) for b in range(n)] for a in range(n)]
         for rows in (down, up)
+    )
+
+
+def _tables(L):
+    """Meet and join tables read through L.meet and L.join."""
+    rng = range(L.n)
+    return tuple(
+        [[op(a, b) for b in rng] for a in rng] for op in (L.meet, L.join)
     )
 
 
@@ -193,7 +228,7 @@ def test_join_prime_route_matches_scan_on_closure_systems(L):
 
 def test_distributivity_exact_above_old_cap():
     L = chain_lattice(200)
-    assert L._meet is not None  # table mode
+    assert not L.is_set_lattice()
     assert is_distributive(L) == (True, None)
     B = gen.boolean_algebra(8)  # keyed, 256 elements
     assert is_distributive(B) == (True, None)
@@ -215,20 +250,21 @@ def test_join_irreducibles_have_one_lower_cover(L):
 @given(closure_system_lattices())
 @settings(max_examples=100, deadline=None)
 def test_tables_match_scan_bound(L):
-    assert (L._meet, L._join) == _reference_tables(L.names, L._down, L._up)
+    assert _tables(L) == _reference_tables(L.names, L._down, L._up)
 
 
 def test_tables_match_scan_bound_on_fixtures(corpus):
     for L in corpus.values():
         for M in (L, opposite(L), attach_bottom(L)):
-            assert (M._meet, M._join) == _reference_tables(
+            assert _tables(M) == _reference_tables(
                 M.names, M._down, M._up
             )
 
 
 def test_non_lattice_errors_match_scan_bound():
-    """Bounded random posets: the table build raises the NotALattice of the
-    per-pair reference, with the same message and witness, or neither does."""
+    """Bounded random posets: the lattice check raises the NotALattice of
+    the per-pair reference, with the same message and witness, or neither
+    does and meet/join agree with it on every pair."""
     outcomes = set()
     for seed in range(120):
         p = 2 + seed % 6
@@ -252,10 +288,90 @@ def test_non_lattice_errors_match_scan_bound():
         except NotALattice as e:
             want = (str(e), e.witness)
         if isinstance(got, FiniteLattice):
-            got = (got._meet, got._join)
+            got = _tables(got)
         assert got == want
         outcomes.add(isinstance(want[0], str))
     assert outcomes == {True, False}
+
+
+def _ref_antisymmetry(names, rows):
+    """The per-bit scan: first i, then its lowest j != i with i <= j <= i."""
+    for i in range(len(rows)):
+        for j in iter_bits(rows[i]):
+            if j != i and rows[j] >> i & 1:
+                return f"antisymmetry fails on {names[i]}, {names[j]}"
+    return None
+
+
+def test_antisymmetry_matches_per_bit_scan():
+    """Seeded relations, most with a planted cycle of length 2 to 4:
+    load_lattice raises the NotAPoset message of the per-bit scan over the
+    closure, or no NotAPoset when the scan finds none."""
+    failed = set()
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = 3 + seed % 6
+        names = [f"e{i}" for i in range(n)]
+        pairs = {(i, j) for i in range(n) for j in range(n)
+                 if i != j and rng.random() < 0.15}
+        cycle = 0 if seed % 4 == 0 else 2 + seed % 3
+        ring = rng.sample(range(n), min(cycle, n))
+        if len(ring) > 1:
+            pairs |= set(zip(ring, ring[1:] + ring[:1]))
+        spec = {"elements": names,
+                "leq": [[names[i], names[j]] for i, j in sorted(pairs)]}
+        rows = [0] * n
+        for i, j in pairs:
+            rows[i] |= 1 << j
+        want = _ref_antisymmetry(names, reflexive_transitive_closure(rows))
+        try:
+            load_lattice(spec)
+            got = None
+        except NotAPoset as e:
+            got = str(e)
+        except (NoBounds, NotALattice):
+            got = None
+        assert got == want
+        if want is not None:
+            failed.add(len(ring))
+    assert {2, 3, 4} <= failed
+
+
+def _bowtie_with_chain(k):
+    """0 < a, b < c, d < 1 plus a chain of k fillers from 0 to 1: c and d
+    have a and b as maximal common lower bounds, so no meet."""
+    fill = [f"f{i}" for i in range(k)]
+    chain = ["0"] + fill + ["1"]
+    covers = [["0", "a"], ["0", "b"], ["a", "c"], ["a", "d"], ["b", "c"],
+              ["b", "d"], ["c", "1"], ["d", "1"]]
+    covers += [[lo, hi] for lo, hi in zip(chain, chain[1:])]
+    return {"elements": ["0", "a", "b", "c", "d", "1"] + fill, "covers": covers}
+
+
+@pytest.mark.parametrize("fill", [10, 1100])
+def test_non_lattice_rejected_at_every_size(fill, tmp_path, capsys):
+    """The lattice check runs above 1024 elements too, where the load used
+    to accept this poset and `space` reported separation axioms for it."""
+    spec = _bowtie_with_chain(fill)
+    with pytest.raises(NotALattice) as info:
+        load_lattice(spec)
+    assert info.value.witness == (3, 4)
+    path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main(["space", str(path), "--kind", "prime", "--axioms"])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: c, d lack a greatest common bound\n"
+
+
+def test_meet_join_above_old_cap():
+    L = chain_lattice(1100)
+    down = [L.down_mask(i) for i in range(L.n)]
+    up = [L.up_mask(i) for i in range(L.n)]
+    rng = random.Random(0)
+    for _ in range(300):
+        a, b = rng.randrange(L.n), rng.randrange(L.n)
+        assert L.meet(a, b) == _scan_bound(L.names, down, a, b)
+        assert L.join(a, b) == _scan_bound(L.names, up, a, b)
 
 
 # -- structural predicates against their pairwise definitions --------------
