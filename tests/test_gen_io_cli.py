@@ -363,14 +363,14 @@ def test_cli_cert_bad_family_file(capsys, tmp_path, raw, message):
 @pytest.mark.parametrize("raw, message", [
     ({"elements": "ab", "covers": []}, 'lattice field "elements" is not a list'),
     (
+        {"elements": ["a", "b"], "leq": [["a"]]},
+        """lattice field "leq" holds ['a'], not a [lo, hi] pair""",
+    ),
+    (
         {"elements": [0, 1], "covers": [[0, 1]]},
         'lattice field "elements" holds 0, not a string',
     ),
     ({"elements": [0], "covers": []}, 'lattice field "elements" holds 0, not a string'),
-    (
-        {"elements": ["a", "b"], "leq": [["a"]]},
-        """lattice field "leq" holds ['a'], not a [lo, hi] pair""",
-    ),
 ])
 def test_cli_check_bad_lattice_file(capsys, tmp_path, raw, message):
     path = tmp_path / "lat.json"
