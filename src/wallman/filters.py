@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .bits import bit, iter_bits, mask_of, subset, union_closure
+from .bits import iter_bits, mask_of, subset, union_closure
 from .errors import (
     DegenerateLattice,
     ElementInFilter,
@@ -21,7 +21,6 @@ from .errors import (
     NotCentered,
     NotDistributive,
     NotPrime,
-    PreconditionFailed,
     TooLarge,
 )
 from .lattice import (
@@ -50,14 +49,18 @@ class FilterSet:
 
     def min_element(self) -> int:
         """The generator: the meet of all members (filters are principal)."""
-        L = self.lattice
-        m = L.top
-        for a in iter_bits(self.members):
-            m = L.meet(m, a)
-        return m
+        return _meet_all(self.lattice, self.members)
 
     def __contains__(self, a: int) -> bool:
         return bool(self.members >> a & 1)
+
+
+def _meet_all(L: FiniteLattice, members: int) -> int:
+    """The meet of a bitset of elements; 1 for the empty set."""
+    m = L.top
+    for a in iter_bits(members):
+        m = L.meet(m, a)
+    return m
 
 
 def _members_of(S: Union[FilterSet, int, Iterable[int]]) -> int:
@@ -129,23 +132,18 @@ def is_centered(L: FiniteLattice, M) -> bool:
     For a finite family this reduces to the meet of all of M: every finite
     meet lies above it, and it is one of them.
     """
-    ids = list(iter_bits(_members_of(M)))
-    total = L.top
-    for a in ids:
-        total = L.meet(total, a)
-    return total != L.bottom or not ids
+    members = _members_of(M)
+    return not members or _meet_all(L, members) != L.bottom
 
 
 def generated_filter(L: FiniteLattice, M) -> FilterSet:
-    """[M) = upward closure of the meet of M; errors if M is not centered."""
+    """[M) = upward closure of the meet of M; errors if M is not centered,
+    which is read off the same meet (is_centered)."""
     if L.bottom == L.top:
         raise DegenerateLattice("filters need 0 != 1")
-    ids = list(iter_bits(_members_of(M)))
-    if not is_centered(L, ids):
+    m = _meet_all(L, _members_of(M))
+    if m == L.bottom:
         raise NotCentered("generating set has zero meet")
-    m = L.top
-    for a in ids:
-        m = L.meet(m, a)
     return FilterSet(L, L.up_mask(m), kind="filter")
 
 
@@ -258,7 +256,7 @@ def enumerate_filters(
                 continue
             if kind == "prime" and not _prime_scan(L, members)[0]:
                 continue
-            if kind == "ultra" and not is_ultra(L, members):
+            if kind == "ultra" and not _is_maximal(L, members):
                 continue
             tag = "filter" if kind == "all" else kind
             out.append(FilterSet(L, members, kind=tag))
@@ -273,20 +271,24 @@ def enumerate_filters(
 
 
 def ultrafilter_extensions(L: FiniteLattice, F) -> list:
+    """The ultrafilters holding F: the ↑t for the atoms t (the argument is
+    in spaces.build_space), in generator-id order as the brute
+    enumeration lists them."""
+    if L.bottom == L.top:
+        raise DegenerateLattice("filters need 0 != 1")
     members = _members_of(F)
-    return [
-        u
-        for u in enumerate_filters(L, "ultra", "brute")
-        if subset(members, u.members)
-    ]
+    ups = (L.up_mask(t) for t in atoms(L))
+    return [FilterSet(L, u, kind="ultra") for u in ups if subset(members, u)]
 
 
 def unique_ultrafilter_extension(L: FiniteLattice, F) -> FilterSet:
-    """The unique ultrafilter above a prime filter, via the direct formula
-    p_F = {a : a∧b > 0 for all b in F}, cross-checked by enumeration.
+    """The unique ultrafilter above a prime filter F; NonUniqueExtension
+    when there are 0 or several, which signals that normality fails.
 
-    Raises NonUniqueExtension when the enumeration finds != 1 extensions,
-    which signals that the normality hypothesis fails.
+    It equals p_F = {a : a∧b > 0 for all b in F}, so that formula is not
+    re-checked.  F = ↑g, g > 0, lies in ↑t for the atoms t <= g; say t is
+    the only one.  a∧b >= a∧g for b in F, so a is in p_F iff a∧g > 0, iff
+    some atom lies below a∧g, iff t <= a: p_F = ↑t.
     """
     prime, wit = is_prime(L, F)
     if not prime:
@@ -296,20 +298,7 @@ def unique_ultrafilter_extension(L: FiniteLattice, F) -> FilterSet:
         raise NonUniqueExtension(
             f"{len(exts)} ultrafilter extensions found", extensions=exts
         )
-    members = _members_of(F)
-    bot = L.bottom
-    fids = list(iter_bits(members))
-    formula = 0
-    for a in range(L.n):
-        if all(L.meet(a, b) != bot for b in fids):
-            formula |= bit(a)
-    if formula != exts[0].members:
-        raise PreconditionFailed(
-            "extension formula disagrees with the unique extension "
-            "(normality hypothesis violated)",
-            failed=("normal",),
-        )
-    return FilterSet(L, formula, kind="ultra")
+    return exts[0]
 
 
 def separate_by_prime(L: FiniteLattice, F, a: int) -> FilterSet:

@@ -6,21 +6,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bits import bit, iter_bits, mask_of, union_closure
+from .bits import bit, iter_bits, mask_of, subset, union_closure
 from .errors import (
+    NonUniqueExtension,
     NotAHom,
     NotComposable,
     NotNormal,
     OracleDisagreement,
     PreconditionFailed,
-    WallmanError,
 )
-from .filters import (
-    FilterSet,
-    is_prime,
-    is_ultra,
-    unique_ultrafilter_extension,
-)
+from .filters import FilterSet
 from .lattice import (
     FiniteLattice,
     atoms,
@@ -134,8 +129,11 @@ def induced_map(
     require_normal: bool = True,
 ) -> SpaceMap:
     """ult(h): ult(L) -> ult(K) for h: K -> L, sending p to the unique
-    ultrafilter extension of h⁻¹(p).  Both lattices are required normal so
-    the extension cannot be ambiguous; continuity is verified."""
+    ultrafilter above the filter h⁻¹(p): the one point of ult(K) holding
+    it (the points are all the ultrafilters, see build_space), else
+    NonUniqueExtension.  For prime p, h⁻¹(p) is prime, and a prime filter
+    of a normal lattice has one ultrafilter above it; require_normal
+    checks both lattices.  Continuity is verified."""
     _require_hom(h)
     if require_normal:
         for side, lab in ((h.source, "source"), (h.target, "target")):
@@ -145,20 +143,18 @@ def induced_map(
     K, L = h.source, h.target
     ult_l = source_space or build_space(L, "ultra")
     ult_k = target_space or build_space(K, "ultra")
-    index = {u.members: i for i, u in enumerate(ult_k.points)}
     pm = []
     for p in ult_l.points:
         pre = h.preimage_filter(p)
-        prime, wit = is_prime(K, pre)
-        if not prime:
-            raise OracleDisagreement(
-                f"preimage of an ultrafilter not prime: {wit}"
+        exts = [
+            i for i, u in enumerate(ult_k.points) if subset(pre, u.members)
+        ]
+        if len(exts) != 1:
+            raise NonUniqueExtension(
+                f"{len(exts)} ultrafilter extensions found",
+                extensions=[ult_k.points[i] for i in exts],
             )
-        if pre in index:
-            ext = pre
-        else:
-            ext = unique_ultrafilter_extension(K, FilterSet(K, pre)).members
-        pm.append(index[ext])
+        pm.append(exts[0])
     sm = SpaceMap(ult_l, ult_k, tuple(pm))
     if not sm.is_continuous():
         raise OracleDisagreement("induced map failed the continuity check")
@@ -209,6 +205,9 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
     Hypotheses: both lattices normal and separative (finite scale forces
     Boolean).  With unchecked=True the three conditions are evaluated
     without asserting their equivalence.
+    Each space is built once; h⁻¹(p) is an ultrafilter iff it is a point
+    of ult(K).  Only NonUniqueExtension makes the preimage law false; any
+    other error from induced_map is a fault and propagates.
     """
     _require_hom(h)
     failed = []
@@ -224,16 +223,17 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
     K, L = h.source, h.target
     sep = is_separative_hom(h)[0]
     ult_l = build_space(L, "ultra")
+    ult_k = build_space(K, "ultra")
+    points_k = {u.members for u in ult_k.points}
     preimages_ultra = all(
-        is_ultra(K, h.preimage_filter(p)) for p in ult_l.points
+        h.preimage_filter(p) in points_k for p in ult_l.points
     )
     try:
-        sm = induced_map(h, require_normal=False)
-    except WallmanError:
+        sm = induced_map(h, ult_l, ult_k, require_normal=False)
+    except NonUniqueExtension:
         law = False
     else:
         law = True
-        ult_k = sm.target
         for a in range(K.n):
             target_mask = ult_k.a_plus[a]
             pre = 0

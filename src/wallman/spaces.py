@@ -21,12 +21,7 @@ from .errors import (
     PreconditionFailed,
     TooLarge,
 )
-from .filters import (
-    FilterSet,
-    enumerate_filters,
-    generated_filter,
-    is_ultra,
-)
+from .filters import FilterSet, generated_filter, is_ultra
 from .lattice import (
     FiniteLattice,
     atoms,
@@ -242,7 +237,7 @@ def alexander_check(L: FiniteLattice, G: Iterable[int], cap: int = 16) -> bool:
         raise NotGenerating("the given set does not generate the lattice")
     if len(G) > cap or L.n > cap:
         raise TooLarge("centered-subset scan beyond the cap")
-    ultras = [u.members for u in enumerate_filters(L, "ultra", "brute")]
+    ultras = [u.members for u in build_space(L, "ultra").points]
 
     def every_centered_extends(universe) -> bool:
         # DFS over centered subsets, pruning on the running meet

@@ -579,16 +579,6 @@ def test_unknown_mode_rejected():
 # -- consistency checks that survive python -O --------------------------------
 
 
-def test_unstable_rank_raises(monkeypatch):
-    F = fam(["x"], ("u", ["x"], 0))
-    # a search whose length keeps growing with the cap never stabilizes
-    monkeypatch.setattr(
-        covers, "_chain_search", lambda *args: lambda cap: (cap, ())
-    )
-    with pytest.raises(OracleDisagreement, match="failed to stabilize"):
-        stabilized_rank(F, phi_from_witness(F), "u")
-
-
 def test_centered_max_differs_from_ord_max_raises(monkeypatch):
     F = fam(["x"], ("u", ["x"], 0), ("v", ["x"], 0))
     # an enumeration that loses every nonempty choice
@@ -619,6 +609,28 @@ def test_stabilized_rank_matches_reference_at_bench_sizes(n, seed):
                 ref_max_increasing_chain, F, phi, u, cap, mode
             )
             assert stabilized_rank(F, phi, u, mode) == want, (u, mode)
+
+
+@pytest.mark.parametrize("n, seed", _BENCH_SIZED_FAMILIES + [(10, 31)])
+def test_rank_stable_past_the_derived_cap(n, seed):
+    """stabilized_rank searches at cap = max(phi(u)) + |members| + 1 only;
+    the search at cap, cap + 1 and cap + 2 gives the same length, and at
+    cap the same chain."""
+    F = gen.random_staged_family(n, seed)
+    phi = phi_from_witness(F)
+    for u in sorted(F.by_id()):
+        cap = max(phi[u]) + len(F.by_id()) + 1
+        for mode in ("membership", "equality"):
+            got = stabilized_rank(F, phi, u, mode)
+            runs = [
+                _with_warnings(max_increasing_chain, F, phi, u, c, mode)
+                for c in (cap, cap + 1, cap + 2)
+            ]
+            assert runs[0][0] == got, (u, mode)
+            # no CapTooSmallWarning above cap: each length equals the one
+            # a cap lower
+            above = [(result[0], warned) for result, warned in runs[1:]]
+            assert above == [(got[0], [])] * 2, (u, mode)
 
 
 def test_ten_member_chains_step_by_step():

@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 from test_spaces import oracle_lattices
 
 from wallman import gen
-from wallman.bits import iter_bits, mask_of
-from wallman.lattice import is_normal
+from wallman.bits import iter_bits, mask_of, subset
+from wallman.lattice import chain_lattice, is_normal
 from wallman.errors import (
+    DegenerateLattice,
     ElementInFilter,
     NonUniqueExtension,
     NotCentered,
@@ -23,6 +24,7 @@ from wallman.filters import (
     is_prime,
     principal_filter,
     separate_by_prime,
+    ultrafilter_extensions,
     unique_ultrafilter_extension,
 )
 
@@ -215,6 +217,58 @@ def test_extension_surjects_onto_ultrafilters(L):
         assert ext.members in ultras
         hit.add(ext.members)
     assert hit == ultras
+
+
+def ref_extension_formula(L, F):
+    """p_F = {a : a∧b > 0 for all b in F}."""
+    return mask_of(
+        a
+        for a in range(L.n)
+        if all(L.meet(a, b) != L.bottom for b in iter_bits(F))
+    )
+
+
+def check_extensions(L):
+    """ultrafilter_extensions against the brute-force ultrafilters, for
+    every filter.  For every prime filter, unique_ultrafilter_extension
+    returns the single extension, which equals the formula p_F, or raises
+    NonUniqueExtension naming them all.  Returns the outcomes seen."""
+    brute = [u.members for u in enumerate_filters(L, "ultra", "brute")]
+    for f in enumerate_filters(L, "all", "brute"):
+        exts = [u.members for u in ultrafilter_extensions(L, f)]
+        assert exts == [u for u in brute if subset(f.members, u)]
+    seen = set()
+    for p in enumerate_filters(L, "prime", "brute"):
+        want = [u for u in brute if subset(p.members, u)]
+        if len(want) == 1:
+            ext = unique_ultrafilter_extension(L, p).members
+            assert ext == want[0] == ref_extension_formula(L, p.members)
+        else:
+            with pytest.raises(NonUniqueExtension) as exc:
+                unique_ultrafilter_extension(L, p)
+            assert [e.members for e in exc.value.extensions] == want
+        seen.add(len(want) == 1)
+    return seen
+
+
+def test_extensions_match_brute_on_fixtures(corpus):
+    seen = set()
+    for L in oracle_lattices(corpus):
+        if L.n > 1:
+            seen |= check_extensions(L)
+    assert seen == {True, False}
+
+
+@given(small_lattices)
+@settings(max_examples=40, deadline=None)
+def test_extensions_match_brute(L):
+    if L.n > 1:
+        check_extensions(L)
+
+
+def test_extensions_need_two_elements():
+    with pytest.raises(DegenerateLattice, match="^filters need 0 != 1$"):
+        ultrafilter_extensions(chain_lattice(1), 0)
 
 
 # -- separation -------------------------------------------------------------

@@ -7,9 +7,14 @@ from test_lattice import closure_system_lattices
 from test_spaces import oracle_lattices, ref_closed_family
 
 from wallman import gen, homs
-from wallman.bits import mask_of
-from wallman.errors import NotComposable, OracleDisagreement, PreconditionFailed
-from wallman.filters import is_prime, ultrafilter_extensions
+from wallman.bits import mask_of, subset
+from wallman.errors import (
+    NonUniqueExtension,
+    NotComposable,
+    OracleDisagreement,
+    PreconditionFailed,
+)
+from wallman.filters import enumerate_filters, is_prime
 from wallman.homs import (
     LatticeHom,
     SpaceMap,
@@ -27,6 +32,7 @@ from wallman.homs import (
 )
 from wallman.lattice import (
     SIZE_CAP,
+    chain_lattice,
     is_boolean,
     join_primes,
     opposite,
@@ -105,6 +111,78 @@ def test_induced_embedding_surjects(embedding):
     assert sm.is_surjective()
 
 
+def brute_extensions(K, pre):
+    """The ultrafilters of K holding pre, from the definitional scan."""
+    brute = enumerate_filters(K, "ultra", "brute")
+    return [u.members for u in brute if subset(pre, u.members)]
+
+
+def check_induced_map(h):
+    """induced_map against the definitions.  The preimage of a prime point
+    is prime (the ultrafilters of a non-distributive lattice need not be,
+    and then neither need their preimages be), and each point goes to the
+    single brute-force ultrafilter extension of its preimage; where some
+    preimage has none or several, induced_map raises NonUniqueExtension.
+    Returns whether the map was defined."""
+    K, L = h.source, h.target
+    points = build_space(L, "ultra").points
+    exts = []
+    for p in points:
+        pre = h.preimage_filter(p)
+        if is_prime(L, p)[0]:
+            assert is_prime(K, pre)[0]
+        exts.append(brute_extensions(K, pre))
+    if any(len(e) != 1 for e in exts):
+        with pytest.raises(NonUniqueExtension):
+            induced_map(h, require_normal=False)
+        return False
+    sm = induced_map(h, require_normal=False)
+    assert [sm.target.points[i].members for i in sm.point_map] == [
+        e[0] for e in exts
+    ]
+    return True
+
+
+def random_boolean_homs():
+    return [
+        gen.random_boolean_hom(
+            gen.boolean_algebra(j), gen.boolean_algebra(k), seed
+        )
+        for j in range(1, 4)
+        for k in range(1, 4)
+        for seed in range(3)
+    ]
+
+
+def test_induced_map_matches_brute_extensions(corpus, quotient, embedding):
+    rng = random.Random(0)
+    lattices = [L for L in corpus.values() if L.n > 1]
+    homs_ = [quotient, embedding] + [identity_hom(L) for L in lattices]
+    homs_ += [h for L in lattices for h in prime_filter_homs(L, rng)]
+    homs_ += random_boolean_homs()
+    # a one-element target has no points to map
+    defined = {check_induced_map(h) for h in homs_ if h.target.n > 1}
+    assert defined == {True, False}
+
+
+@given(closure_system_lattices(), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_induced_map_matches_brute_extensions_on_closure_systems(L, rng):
+    for h in prime_filter_homs(L, rng):
+        if h.target.n > 1:
+            check_induced_map(h)
+
+
+def test_induced_map_on_m3(m3):
+    """The ultrafilters ↑t of M3 are not prime, yet each is the one point
+    above itself, so ult(id) is the identity and the preimage law holds."""
+    assert not any(is_prime(m3, p)[0] for p in build_space(m3, "ultra").points)
+    sm = induced_map(identity_hom(m3))
+    assert sm.point_map == (0, 1, 2)
+    rep = separativity_equivalence(identity_hom(m3))
+    assert rep.separative and rep.preimages_ultra and rep.preimage_law
+
+
 # -- separativity -----------------------------------------------------------
 
 
@@ -169,14 +247,7 @@ def test_separative_hom_matches_reference(corpus, quotient, embedding):
     homs_ = [quotient, embedding] + [
         h for L in oracle_lattices(corpus) for h in prime_filter_homs(L, rng)
     ]
-    homs_ += [
-        gen.random_boolean_hom(
-            gen.boolean_algebra(j), gen.boolean_algebra(k), seed
-        )
-        for j in range(1, 4)
-        for k in range(1, 4)
-        for seed in range(3)
-    ]
+    homs_ += random_boolean_homs()
     assert {check_separative_hom(h) for h in homs_} == {True, False}
 
 
@@ -366,14 +437,13 @@ def ref_algebra_keys(S):
 def check_point_chase(L, S, res):
     """Every preimage j⁻¹(p) of an ultrafilter of B is already a point of
     ult(L): its only ultrafilter extension is itself, so the chase through
-    ultrafilter_extensions lands on the point the lookup returns."""
+    the brute-force extensions lands on the point the lookup returns."""
     index = {u.members: i for i, u in enumerate(S.points)}
     ult_b = build_space(res.algebra, "ultra")
     for k, p in enumerate(ult_b.points):
         pre = res.hom.preimage_filter(p)
         assert pre in index
-        exts = ultrafilter_extensions(L, pre)
-        assert [u.members for u in exts] == [pre]
+        assert brute_extensions(L, pre) == [pre]
         assert res.onto.point_map[k] == index[pre]
 
 
@@ -415,9 +485,13 @@ def _never(*args):
 
 @pytest.mark.parametrize("patches, call, message", [
     (
-        [(homs, "is_prime", lambda K, pre: (False, "w"))],
-        lambda P: homs.induced_map(identity_hom(P)),
-        "preimage of an ultrafilter not prime: w",
+        # chain3 fails the hypotheses, so unchecked=True returns a report;
+        # a fault inside induced_map must raise, not read as a false law
+        [(SpaceMap, "is_continuous", _never)],
+        lambda P: separativity_equivalence(
+            identity_hom(chain_lattice(3)), unchecked=True
+        ),
+        "induced map failed the continuity check",
     ),
     (
         [(SpaceMap, "is_continuous", _never)],
@@ -455,3 +529,4 @@ def test_oracle_disagreement_sites(monkeypatch, corpus, patches, call, message):
         monkeypatch.setattr(owner, name, fake)
     with pytest.raises(OracleDisagreement, match=f"^{message}$"):
         call(corpus["powerset2"])
+

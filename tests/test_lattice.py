@@ -668,6 +668,27 @@ def test_boolean_implies_normal_and_separative(L):
         assert is_separative(L)[0]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 40])
+def test_chain_lattice_matches_a_loaded_chain(corpus, k):
+    """chain_lattice skips the poset check; its lattice is the one a chain
+    file loads to, checks and all."""
+    names = [f"c{i}" for i in range(k)]
+    covers = [[lo, hi] for lo, hi in zip(names, names[1:])]
+    L = chain_lattice(k)
+    M = load_lattice({"elements": names, "covers": covers})
+    assert L == M
+    assert all(
+        L.meet(a, b) == M.meet(a, b) and L.join(a, b) == M.join(a, b)
+        for a in range(k)
+        for b in range(k)
+    )
+    if f"chain{k}" in corpus:
+        shipped = corpus[f"chain{k}"]
+        assert [L.up_mask(i) for i in range(k)] == [
+            shipped.up_mask(i) for i in range(k)
+        ]
+
+
 def test_chain_and_powerset_builders():
     assert chain_lattice(4).n == 4
     P = powerset_lattice(3)

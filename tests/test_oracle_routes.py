@@ -1,0 +1,70 @@
+"""The brute-force oracles stay off the run-time paths.
+
+enumerate_filters with the "brute" (its default) or "exhaustive" strategy
+is the definitional oracle behind `wallman filters --oracle/--strategy`;
+everything else reads filters off atoms and join-primes.  The triple scan
+_distributivity_scan is the witness search of is_distributive only.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "wallman"
+
+
+def top_level_functions(tree):
+    """Module-level functions and methods; nested functions belong to
+    the one they are defined in."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        yield from (n for n in body if isinstance(n, ast.FunctionDef))
+
+
+def calls_to(name):
+    """(module file, top-level function or "<module>", Call node) for each
+    call of name, plain or as an attribute."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {
+            node: fn.name
+            for fn in top_level_functions(tree)
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (getattr(f, "attr", None) or getattr(f, "id", None)) == name:
+                out.append((path.name, owner.get(node, "<module>"), node))
+    return out
+
+
+def strategy_of(call):
+    """The strategy argument as a literal, "brute" when omitted, None when
+    it is not a literal."""
+    arg = call.args[2] if len(call.args) > 2 else None
+    for kw in call.keywords:
+        if kw.arg == "strategy":
+            arg = kw.value
+    if arg is None:
+        return "brute"
+    return arg.value if isinstance(arg, ast.Constant) else None
+
+
+def test_filter_oracles_only_in_filters_and_cli():
+    calls = calls_to("enumerate_filters")
+    assert calls
+    oracle = {
+        (module, fn)
+        for module, fn, call in calls
+        if strategy_of(call) != "fast"
+    }
+    assert {module for module, _ in oracle} <= {"filters.py", "cli.py"}, oracle
+
+
+def test_distributivity_scan_only_in_is_distributive():
+    calls = calls_to("_distributivity_scan")
+    assert {(module, fn) for module, fn, _ in calls} == {
+        ("lattice.py", "is_distributive")
+    }
