@@ -240,6 +240,8 @@ def cmd_cert(args) -> int:
             for g, ms in sorted(F.groups().items())
         }
     elif args.sub == "rank":
+        if args.phi and args.member is None:
+            raise ValueError("cert rank --phi needs --member")
         if args.member is not None:
             phi = (
                 io.load_phi_file(args.phi)

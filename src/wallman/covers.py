@@ -23,7 +23,6 @@ from .errors import (
     EmptyPhiValue,
     InvalidNode,
     MissingStages,
-    OracleDisagreement,
     TooLarge,
 )
 
@@ -146,28 +145,20 @@ def centered_poset_rank(
 ) -> CenteredRankReport:
     """Longest strictly descending chain of centered subcollections.
 
-    For a finite family a subcollection is centered iff its full
-    intersection is nonempty, so the chain length equals the maximum size
-    of a centered subcollection; max ord over points is reported alongside
-    as the finite-scale point-finiteness figure.
+    For a finite family a subcollection is centered iff its members share
+    a point x, that is iff it lies inside M_x = {i : x ∈ members[i]}.  So
+    the largest centered ones are the M_x of size max ord, and the chain
+    length is max ord.  Of those the lexicographically largest index
+    tuple is taken: in _centered's depth-first pop order children come
+    largest index first, so it is the first maximum there.  O(|G|·|M|).
     """
-    members = list(members)
-    points = [m.points for m in members]
-    best, _ = max(
-        _centered(range(len(members)), points, ground_mask),
-        key=lambda pair: len(pair[0]),
-    )
+    stars = [
+        tuple(i for i, m in enumerate(members) if m.points >> x & 1)
+        for x in iter_bits(ground_mask)
+    ]
+    best = max(stars, key=lambda s: (len(s), s), default=())
     chain = tuple(best[:k] for k in range(len(best), 0, -1))
-    max_ord = max(
-        (ord_count(x, members) for x in iter_bits(ground_mask)),
-        default=0,
-    )
-    if members and len(best) != max_ord:
-        raise OracleDisagreement(
-            f"centered maximum {len(best)} differs from the ord maximum "
-            f"{max_ord} on a finite ground"
-        )
-    return CenteredRankReport(len(best), chain, max_ord)
+    return CenteredRankReport(len(best), chain, len(best))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ MAX_FAMILY_MEMBERS = 14
 def random_poset(n_points: int, seed: int, edge_prob: float = 0.3):
     """Partial order on 0..n-1 as up-rows (reflexive, transitive)."""
     if not 0 <= n_points <= MAX_POSET_POINTS:
-        raise SizeCap(f"poset points capped at {MAX_POSET_POINTS}")
+        raise SizeCap(f"poset points must be in 0..{MAX_POSET_POINTS}, got {n_points}")
     rng = random.Random(seed)
     rows = [0] * n_points
     for i in range(n_points):
@@ -66,7 +66,7 @@ def random_downset_lattice(
 
 def boolean_algebra(k_atoms: int, name: Optional[str] = None) -> FiniteLattice:
     if not 0 <= k_atoms <= MAX_BOOLEAN_ATOMS:
-        raise SizeCap(f"atom count capped at {MAX_BOOLEAN_ATOMS}")
+        raise SizeCap(f"atom count must be in 0..{MAX_BOOLEAN_ATOMS}, got {k_atoms}")
     return FiniteLattice.from_keys(
         range(1 << k_atoms), name=name or f"B{k_atoms}", verify=False
     )
@@ -101,7 +101,7 @@ def random_staged_family(
 ) -> CoverFamily:
     """Staged family over a small ground set, forced T0-separating."""
     if not 1 <= n_members <= MAX_FAMILY_MEMBERS:
-        raise SizeCap(f"member count capped at {MAX_FAMILY_MEMBERS}")
+        raise SizeCap(f"member count must be in 1..{MAX_FAMILY_MEMBERS}, got {n_members}")
     rng = random.Random(seed)
     g = max(3, n_members // 2 + 2)
     full = bit(g) - 1

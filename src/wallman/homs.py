@@ -122,27 +122,33 @@ def _require_hom(h: LatticeHom) -> None:
         raise NotAHom(f"not a homomorphism, witness {wit}", witness=wit)
 
 
-def induced_map(
-    h: LatticeHom,
-    source_space: Optional[WallmanSpace] = None,
-    target_space: Optional[WallmanSpace] = None,
-    require_normal: bool = True,
-) -> SpaceMap:
+def _require_normal(*sides) -> None:
+    """Each (label, lattice) pair is normal, else NotNormal naming it."""
+    for lab, side in sides:
+        norm, wit = is_normal(side, require_distributive=False)
+        if not norm:
+            raise NotNormal(f"{lab} lattice not normal, witness {wit}")
+
+
+def induced_map(h: LatticeHom, require_normal: bool = True) -> SpaceMap:
     """ult(h): ult(L) -> ult(K) for h: K -> L, sending p to the unique
-    ultrafilter above the filter h⁻¹(p): the one point of ult(K) holding
-    it (the points are all the ultrafilters, see build_space), else
-    NonUniqueExtension.  For prime p, h⁻¹(p) is prime, and a prime filter
-    of a normal lattice has one ultrafilter above it; require_normal
-    checks both lattices.  Continuity is verified."""
+    ultrafilter above the filter h⁻¹(p), else NonUniqueExtension.  For
+    prime p, h⁻¹(p) is prime, and a prime filter of a normal lattice has
+    one ultrafilter above it; require_normal checks both lattices.
+    Continuity is verified."""
     _require_hom(h)
     if require_normal:
-        for side, lab in ((h.source, "source"), (h.target, "target")):
-            norm, wit = is_normal(side, require_distributive=False)
-            if not norm:
-                raise NotNormal(f"{lab} lattice not normal, witness {wit}")
-    K, L = h.source, h.target
-    ult_l = source_space or build_space(L, "ultra")
-    ult_k = target_space or build_space(K, "ultra")
+        _require_normal(("source", h.source), ("target", h.target))
+    return _induced(h)
+
+
+def _induced(h: LatticeHom, ult_l=None, ult_k=None) -> SpaceMap:
+    """ult(h) for a verified h: K -> L, between ult_l = ult(L) and
+    ult_k = ult(K), built here unless given.  The image of p is the one
+    point of ult(K) holding h⁻¹(p): the points are all the ultrafilters
+    (see build_space)."""
+    ult_l = ult_l or build_space(h.target, "ultra")
+    ult_k = ult_k or build_space(h.source, "ultra")
     pm = []
     for p in ult_l.points:
         pre = h.preimage_filter(p)
@@ -162,7 +168,14 @@ def induced_map(
 
 
 def is_separative_hom(h: LatticeHom) -> tuple:
-    """h(a)∧b = 0 forces some c with a∧c = 0 and b <= h(c).
+    """h(a)∧b = 0 forces some c with a∧c = 0 and b <= h(c); returns
+    (flag, first failing (a, b) of the definitional scan)."""
+    _require_hom(h)
+    return _separative(h)
+
+
+def _separative(h: LatticeHom) -> tuple:
+    """is_separative_hom for a verified h.
 
     For each a the b that fail are those disjoint from h(a) and below no
     h(c) with c disjoint from a: disj_L[h(a)] minus the union of ↓h(c)
@@ -172,7 +185,6 @@ def is_separative_hom(h: LatticeHom) -> tuple:
     lookups where the scan made up to n_K²·n_L, and no order rows, so
     neither lattice is held to SIZE_CAP.
     """
-    _require_hom(h)
     K, L = h.source, h.target
     below, disj_l = {}, {}
     for y in set(h.map):
@@ -207,7 +219,7 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
     without asserting their equivalence.
     Each space is built once; h⁻¹(p) is an ultrafilter iff it is a point
     of ult(K).  Only NonUniqueExtension makes the preimage law false; any
-    other error from induced_map is a fault and propagates.
+    other error from _induced is a fault and propagates.
     """
     _require_hom(h)
     failed = []
@@ -221,7 +233,7 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
             f"hypotheses fail: {', '.join(failed)}", failed=failed
         )
     K, L = h.source, h.target
-    sep = is_separative_hom(h)[0]
+    sep = _separative(h)[0]
     ult_l = build_space(L, "ultra")
     ult_k = build_space(K, "ultra")
     points_k = {u.members for u in ult_k.points}
@@ -229,7 +241,7 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
         h.preimage_filter(p) in points_k for p in ult_l.points
     )
     try:
-        sm = induced_map(h, ult_l, ult_k, require_normal=False)
+        sm = _induced(h, ult_l, ult_k)
     except NonUniqueExtension:
         law = False
     else:
@@ -250,14 +262,25 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
 
 
 def functor_laws(g: LatticeHom, h: LatticeHom) -> bool:
-    """ult(g∘h) = ult(h)∘ult(g) pointwise, and ult(id) = id."""
+    """ult(g∘h) = ult(h)∘ult(g) pointwise, and ult(id) = id, for
+    h: K -> L and g: L -> M.
+
+    Only g and h are verified: g∘h and id_K are homs by construction, as
+    h and then g preserve 0, 1, ∧ and ∨, and so does the identity.  Each
+    of ult(K), ult(L), ult(M) is built once and shared by the four maps.
+    """
     gh = compose(g, h)
-    m_gh = induced_map(gh)
-    m_g = induced_map(g)
-    m_h = induced_map(h, source_space=m_g.target, target_space=m_gh.target)
+    for f in (g, h):
+        _require_hom(f)
+    K, L, M = h.source, h.target, g.target
+    _require_normal(("source", K), ("middle", L), ("target", M))
+    ult_k, ult_l, ult_m = (build_space(X, "ultra") for X in (K, L, M))
+    m_gh = _induced(gh, ult_m, ult_k)
+    m_g = _induced(g, ult_m, ult_l)
+    m_h = _induced(h, ult_l, ult_k)
     composed = tuple(m_h.point_map[i] for i in m_g.point_map)
-    idm = induced_map(identity_hom(h.source))
-    id_ok = idm.point_map == tuple(range(idm.source.size))
+    idm = _induced(identity_hom(K), ult_k, ult_k)
+    id_ok = idm.point_map == tuple(range(ult_k.size))
     return m_gh.point_map == composed and id_ok
 
 
@@ -273,7 +296,7 @@ def surjectivity_from_kernel(h: LatticeHom) -> KernelReport:
     _require_hom(h)
     kernel = h.kernel()
     trivial = kernel == (h.source.bottom,)
-    sm = induced_map(h, require_normal=False)
+    sm = _induced(h)
     surj = sm.is_surjective()
     if trivial:
         if not surj:
@@ -307,7 +330,7 @@ def embedding_from_separation(h: LatticeHom) -> EmbeddingReport:
     """Image separating the target implies ult(h) injective."""
     _require_hom(h)
     sep = image_separates(h)
-    sm = induced_map(h, require_normal=False)
+    sm = _induced(h)
     inj = sm.is_injective()
     if sep:
         if not inj:

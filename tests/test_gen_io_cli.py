@@ -38,6 +38,32 @@ def test_gen_caps():
         gen.random_staged_family(gen.MAX_FAMILY_MEMBERS + 1, 0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen.random_poset(-1, 0), "poset points must be in 0..16, got -1"),
+    (lambda: gen.random_poset(17, 0), "poset points must be in 0..16, got 17"),
+    (lambda: gen.boolean_algebra(-1), "atom count must be in 0..10, got -1"),
+    (lambda: gen.boolean_algebra(11), "atom count must be in 0..10, got 11"),
+    (
+        lambda: gen.random_staged_family(0, 0),
+        "member count must be in 1..14, got 0",
+    ),
+    (
+        lambda: gen.random_staged_family(15, 0),
+        "member count must be in 1..14, got 15",
+    ),
+])
+def test_gen_cap_messages_name_range_and_value(make, message):
+    with pytest.raises(SizeCap) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_cli_gen_size_out_of_range(capsys):
+    code = cli.main(["gen", "--kind", "staged-family", "--size", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: member count must be in 1..14, got 0\n"
+
+
 def test_downset_lattice_size_zero():
     L = gen.random_downset_lattice(0, seed=1)
     assert L.n == 2  # one-point poset
@@ -280,6 +306,25 @@ def test_cli_cert_ord_point_errors(capsys, family_path):
     assert code == 2 and err == "error: --point 'zz' is not a ground point\n"
     code, rep = run(capsys, "cert", family_path, "ord", "--point", "x")
     assert code == 0 and rep["ord"] == 2
+
+
+def test_cli_cert_rank_phi_needs_member(capsys, tmp_path, family_path):
+    missing = str(tmp_path / "nophi.json")
+    code, err = run_err(capsys, "cert", family_path, "rank", "--phi", missing)
+    assert code == 2 and err == "error: cert rank --phi needs --member\n"
+
+
+def test_cli_cert_rank_large_group(capsys, tmp_path):
+    """Twenty members in one group, beyond the centered enumeration cap;
+    the rank is the ord count, so it still answers."""
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps({
+        "ground": ["x", "y"],
+        "members": [{"id": f"u{i}", "set": ["x"], "group": 0} for i in range(20)],
+    }))
+    code, rep = run(capsys, "cert", str(fam_path), "rank")
+    assert code == 0
+    assert rep["groups"]["0"] == {"max_centered_size": 20, "max_ord": 20}
 
 
 def test_cli_cert_rank_unknown_member(capsys, family_path):

@@ -10,6 +10,7 @@ from wallman import gen, homs
 from wallman.bits import mask_of, subset
 from wallman.errors import (
     NonUniqueExtension,
+    NotAHom,
     NotComposable,
     OracleDisagreement,
     PreconditionFailed,
@@ -313,6 +314,44 @@ def test_functor_laws_random(j, k, l, seed):
     assert functor_laws(g, h)
 
 
+def test_each_hom_verified_once(monkeypatch):
+    """Every public entry verifies its input once (functor_laws its two
+    inputs); functor_laws builds ult(K), ult(L) and ult(M) once each."""
+    B = [gen.boolean_algebra(k) for k in (3, 2, 2)]
+    h = gen.random_boolean_hom(B[0], B[1], 1)
+    g = gen.random_boolean_hom(B[1], B[2], 2)
+    verified, built = [], []
+    verify, build = homs.verify_hom, homs.build_space
+    monkeypatch.setattr(homs, "verify_hom", lambda f: verified.append(f) or verify(f))
+    monkeypatch.setattr(
+        homs, "build_space", lambda L, kind: built.append(L) or build(L, kind)
+    )
+    for entry in (
+        induced_map,
+        is_separative_hom,
+        separativity_equivalence,
+        surjectivity_from_kernel,
+        embedding_from_separation,
+    ):
+        verified.clear()
+        entry(h)
+        assert verified == [h], entry
+    verified.clear()
+    built.clear()
+    assert functor_laws(g, h)
+    assert verified == [g, h]
+    assert built == [h.source, h.target, g.target]
+
+
+def test_functor_laws_names_the_bad_input(powerset3):
+    i = identity_hom(powerset3)
+    bad = LatticeHom(powerset3, powerset3, (powerset3.bottom,) * powerset3.n)
+    for g, h in ((bad, i), (i, bad)):
+        with pytest.raises(NotAHom) as exc:
+            functor_laws(g, h)
+        assert exc.value.witness == verify_hom(bad)[1] == ("top", powerset3.top)
+
+
 def test_surjectivity_from_kernel(corpus, quotient, embedding):
     rep = surjectivity_from_kernel(identity_hom(corpus["powerset2"]))
     assert rep.kernel_trivial and rep.surjective
@@ -329,6 +368,21 @@ def test_embedding_from_separation(corpus, embedding):
     # the {1}->{1,2} embedding cannot separate {1} from {2}
     rep = embedding_from_separation(embedding)
     assert not rep.separating_image
+
+
+def test_image_separates_iff_onto_on_boolean_targets():
+    """On a Boolean target the image of h separates iff h is onto.  Onto
+    is enough, as then every c is in the image.  Conversely, take an atom
+    t and its complement t'.  The image must hold some c >= t with
+    c ∧ t' = 0, and c <= t'' = t, so c = t: every atom is in the image,
+    and a sublattice holding every atom holds every join of atoms, which
+    is every element."""
+    seen = set()
+    for h in random_boolean_homs():
+        onto = set(h.map) == set(range(h.target.n))
+        assert image_separates(h) == onto, h
+        seen.add(onto)
+    assert seen == {True, False}
 
 
 def test_embedding_with_separating_image(corpus):
@@ -499,7 +553,7 @@ def _never(*args):
         "induced map failed the continuity check",
     ),
     (
-        [(homs, "is_separative_hom", lambda h: (False, None))],
+        [(homs, "_separative", lambda h: (False, None))],
         lambda P: separativity_equivalence(identity_hom(P)),
         "equivalence fails under hypotheses",
     ),

@@ -4,6 +4,10 @@ enumerate_filters with the "brute" (its default) or "exhaustive" strategy
 is the definitional oracle behind `wallman filters --oracle/--strategy`;
 everything else reads filters off atoms and join-primes.  The triple scan
 _distributivity_scan is the witness search of is_distributive only.
+
+Each public hom entry verifies its input once and calls the unchecked
+private helpers, never another public entry; the centered enumeration
+_centered serves the chain search only.
 """
 
 import ast
@@ -67,4 +71,33 @@ def test_distributivity_scan_only_in_is_distributive():
     calls = calls_to("_distributivity_scan")
     assert {(module, fn) for module, fn, _ in calls} == {
         ("lattice.py", "is_distributive")
+    }
+
+
+def test_homs_entries_call_the_unchecked_helpers():
+    for public in ("induced_map", "is_separative_hom"):
+        assert not [
+            fn for module, fn, _ in calls_to(public) if module == "homs.py"
+        ], public
+
+
+def test_hom_verified_once_per_public_entry():
+    calls = calls_to("_require_hom")
+    owners = [fn for module, fn, _ in calls if module == "homs.py"]
+    assert {module for module, _, _ in calls} == {"homs.py"}
+    assert sorted(owners) == sorted(set(owners))
+    assert set(owners) == {
+        "induced_map",
+        "is_separative_hom",
+        "separativity_equivalence",
+        "functor_laws",
+        "surjectivity_from_kernel",
+        "embedding_from_separation",
+    }
+
+
+def test_centered_enumeration_only_in_centered_subsets():
+    calls = calls_to("_centered")
+    assert {(module, fn) for module, fn, _ in calls} == {
+        ("covers.py", "centered_subsets")
     }

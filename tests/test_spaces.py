@@ -1,17 +1,28 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_lattice import closure_system_lattices, oracle_lattices
 
 from wallman import gen
+from wallman.bits import bit, subset
 from wallman.errors import (
     DegenerateLattice,
     NotDistributive,
     NotGenerating,
     PreconditionFailed,
+    TooLarge,
 )
 from wallman.filters import enumerate_filters, is_prime, principal_filter
-from wallman.lattice import atoms, is_distributive, opposite
+from wallman.lattice import (
+    atoms,
+    is_distributive,
+    is_generating,
+    join_irreducibles,
+    opposite,
+    powerset_lattice,
+)
 from wallman.spaces import (
     SeparationReport,
     alexander_check,
@@ -156,15 +167,75 @@ def test_alexander_check(corpus, fivepoint):
     assert alexander_check(P2, atoms(P2))
     g = [fivepoint.id_of(x) for x in ("a", "b", "c")]
     assert alexander_check(fivepoint, g)
+    P5 = powerset_lattice(5)  # 32 elements, above the DFS's cap of 16
+    assert alexander_check(P5, atoms(P5))
 
 
 @given(small_lattices)
 @settings(max_examples=25, deadline=None)
 def test_alexander_on_random_lattices(L):
-    if L.n > 16:
-        return
     assert is_distributive(L)[0]
     assert alexander_check(L, range(L.n))
+    if L.n <= 16:
+        assert ref_alexander_check(L, range(L.n))
+
+
+def ref_alexander_check(L, G, cap: int = 16) -> bool:
+    """The definitional DFS over centered subsets of G and of L, as
+    alexander_check made it before the atom argument replaced it."""
+    G = sorted(set(G))
+    if not is_generating(L, G):
+        raise NotGenerating("the given set does not generate the lattice")
+    if len(G) > cap or L.n > cap:
+        raise TooLarge("centered-subset scan beyond the cap")
+    ultras = [u.members for u in build_space(L, "ultra").points]
+
+    def every_centered_extends(universe) -> bool:
+        # DFS over centered subsets, pruning on the running meet
+        def rec(i: int, meet_so_far: int, chosen: int) -> bool:
+            if chosen and not any(subset(chosen, u) for u in ultras):
+                return False
+            for j in range(i, len(universe)):
+                g = universe[j]
+                m = L.meet(meet_so_far, g)
+                if m == L.bottom:
+                    continue
+                if not rec(j + 1, m, chosen | bit(g)):
+                    return False
+            return True
+
+        return rec(0, L.top, 0)
+
+    side_g = every_centered_extends(G)
+    side_l = every_centered_extends(
+        [a for a in range(L.n) if a != L.bottom]
+    )
+    return side_g == side_l
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotGenerating, DegenerateLattice) as exc:
+        return type(exc)
+
+
+def test_alexander_matches_dfs_reference(corpus):
+    """The atom argument against the DFS on the one-element lattice and on
+    every oracle lattice of at most 16 elements and its opposite, for the
+    whole lattice, its atoms, its join-irreducibles and seeded random
+    subsets as G."""
+    rng = random.Random(5)
+    seen = set()
+    small = [L for L in oracle_lattices(corpus) if L.n <= 16]
+    for L in [gen.boolean_algebra(0)] + small + [opposite(L) for L in small]:
+        sets = [range(L.n), atoms(L), join_irreducibles(L)]
+        sets += [rng.sample(range(L.n), rng.randint(0, L.n)) for _ in range(3)]
+        for G in sets:
+            got = _outcome(alexander_check, L, G)
+            assert got == _outcome(ref_alexander_check, L, G), (L, G)
+            seen.add(got)
+    assert seen == {True, NotGenerating, DegenerateLattice}
 
 
 # -- closure routes against definitional references --------------------------
