@@ -59,7 +59,9 @@ def downset_lattice(
 def random_downset_lattice(
     n_points: int, seed: int, edge_prob: float = 0.3
 ) -> FiniteLattice:
-    n_points = max(1, n_points)  # size 0 degrades to the 1-point poset
+    # size 0 degrades to the 1-point poset; a negative size reaches the
+    # cap check of random_poset
+    n_points = n_points or 1
     rows = random_poset(n_points, seed, edge_prob)
     return downset_lattice(rows, name=f"downset{n_points}s{seed}")
 

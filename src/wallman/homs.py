@@ -18,6 +18,7 @@ from .errors import (
 from .filters import FilterSet
 from .lattice import (
     FiniteLattice,
+    _disjoint_masks,
     atoms,
     is_normal,
     is_separative,
@@ -222,6 +223,11 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
     other error from _induced is a fault and propagates.
     """
     _require_hom(h)
+    return _equivalence(h, unchecked)
+
+
+def _equivalence(h: LatticeHom, unchecked: bool) -> SeparativityReport:
+    """separativity_equivalence for a verified h."""
     failed = []
     for side, lab in ((h.source, "source"), (h.target, "target")):
         if not is_normal(side, require_distributive=False)[0]:
@@ -272,6 +278,11 @@ def functor_laws(g: LatticeHom, h: LatticeHom) -> bool:
     gh = compose(g, h)
     for f in (g, h):
         _require_hom(f)
+    return _functor_laws(g, h, gh)
+
+
+def _functor_laws(g: LatticeHom, h: LatticeHom, gh: LatticeHom) -> bool:
+    """functor_laws for verified g and h, with gh = compose(g, h)."""
     K, L, M = h.source, h.target, g.target
     _require_normal(("source", K), ("middle", L), ("target", M))
     ult_k, ult_l, ult_m = (build_space(X, "ultra") for X in (K, L, M))
@@ -306,17 +317,26 @@ def surjectivity_from_kernel(h: LatticeHom) -> KernelReport:
 
 
 def image_separates(h: LatticeHom) -> bool:
-    """Does the image of h separate disjoint pairs of the target lattice?"""
+    """Does the image of h separate disjoint pairs of the target lattice?
+
+    By definition: every a, b with a∧b = 0 have some c in h(K) with
+    a <= c and c∧b = 0.  With disj[y] the set of elements disjoint from
+    y (_disjoint_masks), the b that the c >= a in h(K) serve make up
+    the union of disj[c] over them, so the image separates iff for every
+    a, disj[a] lies inside that union: at most n_L·|h(K)| mask ORs and no
+    meet, where the definitional scan made up to n_L²·|h(K)| lookups.
+    The masks read L's order rows, so a target above SIZE_CAP raises
+    TooLarge.
+    """
     L = h.target
-    img = h.image_ids()
+    disj = _disjoint_masks(L)
+    img = mask_of(h.map)
     for a in range(L.n):
-        for b in range(L.n):
-            if L.meet(a, b) != L.bottom:
-                continue
-            if not any(
-                L.leq(a, c) and L.meet(c, b) == L.bottom for c in img
-            ):
-                return False
+        served = 0
+        for c in iter_bits(L.up_mask(a) & img):
+            served |= disj[c]
+        if disj[a] & ~served:
+            return False
     return True
 
 

@@ -12,6 +12,16 @@ Elements are dense integer ids in input order.  All element sets are bitsets
 
 Both modes answer meet and join with one dict lookup, at every size up to
 SIZE_CAP.
+
+A keyed lattice is a ring of sets: a family closed under ∩ and ∪.  It is
+read through its ground points.  For a point x of top∖bottom, m_x is the
+intersection of the keys holding x (_point_meets, n·|G| big-int ANDs for n
+keys over a ground set G).  from_keys checks closure with one key lookup
+per key and point instead of one per pair of keys; the m_x are the
+join-irreducibles, which are also the join-primes, and the lattice is
+distributive by construction, so these answers need no order rows and
+hold above SIZE_CAP.  Element names of a keyed lattice built without names
+are made from its keys on first read.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from .errors import (
     NotALattice,
     NotAPoset,
     NotDistributive,
+    OracleDisagreement,
     TooLarge,
 )
 
@@ -44,7 +55,7 @@ class FiniteLattice:
 
     __slots__ = (
         "name",
-        "names",
+        "_names",
         "n",
         "bottom",
         "top",
@@ -66,6 +77,7 @@ class FiniteLattice:
     def _blank(cls) -> "FiniteLattice":
         obj = object.__new__(cls)
         obj.name = None
+        obj._names = None
         obj.keys = None
         obj._key_index = None
         obj._up = None
@@ -156,7 +168,7 @@ class FiniteLattice:
                     )
         obj = cls._blank()
         obj.name = name
-        obj.names = tuple(names)
+        obj._names = tuple(names)
         obj.n = n
         obj.bottom = bottom
         obj.top = top
@@ -176,9 +188,30 @@ class FiniteLattice:
     ) -> "FiniteLattice":
         """Build a lattice of sets: leq is key inclusion, meet/join are &,|.
 
-        The key family must be closed under & and |.  With verify (the
-        default) every pair is checked, at every size; the first pair
-        (i, j), i < j, whose & or | is missing is the NotALattice witness.
+        The key family must be closed under & and |.  verify (the default)
+        checks that at every size; verify=False is for callers whose
+        family is closed by construction.  Without names the elements are
+        named by their keys, "{0,2}" for the key of points 0 and 2, when
+        `names` is first read.
+
+        The check, with bottom = ∩keys and top = ∪keys both keys: the
+        family is closed iff k | m_x is a key for every key k and every
+        point x of top∖bottom, where m_x is the intersection of the keys
+        holding x.  For x in k the union is k itself, since m_x ⊆ k, and
+        for k = bottom it is m_x, since bottom ⊆ m_x: so every m_x is a
+        key.  Necessity: m_x is a meet of keys and k | m_x a join.
+        Sufficiency: put y ⊑ x iff y ∈ m_x, a preorder on top∖bottom
+        (a key holding x holds m_x, so holds every y ∈ m_x and then m_y).
+        Every key k is bottom ∪ ⋃{m_x : x ∈ k}, and k∖bottom is a down-set
+        of ⊑.  Conversely, for a down-set D, adding the m_x for x ∈ D one
+        at a time to bottom stays in the family (the step k ↦ k | m_x) and
+        ends at bottom ∪ D.  So the family is exactly {bottom ∪ D : D a
+        down-set}, which is closed under ∩ and ∪ (Birkhoff; Davey &
+        Priestley, Introduction to Lattices and Order, 2nd ed., ch. 5).
+        Cost: n·|G| key lookups for n keys over a ground set G, instead of
+        n²/2 pairs.  Only when the check fails does the pair scan run, to
+        name the first pair (i, j), i < j, whose & or | is missing as the
+        NotALattice witness.
         """
         keys = list(keys)
         n = len(keys)
@@ -194,27 +227,23 @@ class FiniteLattice:
             top_key |= k
         if bot_key not in index or top_key not in index:
             raise NoBounds("key family lacks its intersection or union")
-        if verify:
-            for i, a in enumerate(keys):
-                for j in range(i + 1, n):
-                    b = keys[j]
-                    if a & b not in index or a | b not in index:
-                        raise NotALattice(
-                            "key family is not closed under meet/join",
-                            witness=(i, j),
-                        )
-        if names is None:
-            names = [_key_name(k) for k in keys]
-        elif len(set(names)) != n:
-            raise ValueError("element names must be unique")
         obj = cls._blank()
         obj.name = name
-        obj.names = tuple(names)
         obj.n = n
         obj.keys = tuple(keys)
         obj._key_index = index
         obj.bottom = index[bot_key]
         obj.top = index[top_key]
+        if verify and not _is_ring_of_sets(obj):
+            raise NotALattice(
+                "key family is not closed under meet/join",
+                witness=_first_unclosed_pair(keys, index),
+            )
+        if names is not None:
+            names = tuple(names)
+            if len(set(names)) != n:
+                raise ValueError("element names must be unique")
+            obj._names = names
         return obj
 
     # -- order and operations -----------------------------------------
@@ -288,6 +317,12 @@ class FiniteLattice:
     # -- conveniences --------------------------------------------------
 
     @property
+    def names(self) -> tuple:
+        if self._names is None:
+            self._names = tuple(_key_name(k) for k in self.keys)
+        return self._names
+
+    @property
     def full_mask(self) -> int:
         return bit(self.n) - 1
 
@@ -328,6 +363,48 @@ class FiniteLattice:
 
 def _key_name(key: int) -> str:
     return "{" + ",".join(str(i) for i in iter_bits(key)) + "}"
+
+
+def _point_meets(L: FiniteLattice) -> list:
+    """m_x, the intersection of the keys holding x, for each point x of
+    top∖bottom of a keyed lattice, in point order: n·|G| big-int ANDs."""
+
+    def compute():
+        keys = L.keys
+        top = keys[L.top]
+        out = []
+        for x in iter_bits(top & ~keys[L.bottom]):
+            xb = 1 << x
+            m = top
+            for k in keys:
+                if k & xb:
+                    m &= k
+            out.append(m)
+        return out
+
+    return L._memo("point_meets", compute)
+
+
+def _is_ring_of_sets(L: FiniteLattice) -> bool:
+    """k | m_x is a key for every key k and every m_x (see from_keys)."""
+    index = L._key_index
+    for m in _point_meets(L):
+        for k in L.keys:
+            if k | m not in index:
+                return False
+    return True
+
+
+def _first_unclosed_pair(keys: Sequence[int], index: Mapping) -> tuple:
+    """First pair (i, j), i < j, whose & or | is not a key: the witness
+    from_keys names once _is_ring_of_sets has failed."""
+    n = len(keys)
+    for i, a in enumerate(keys):
+        for j in range(i + 1, n):
+            b = keys[j]
+            if a & b not in index or a | b not in index:
+                return (i, j)
+    raise OracleDisagreement("ring-of-sets check failed on a closed family")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +498,9 @@ def is_distributive(L: FiniteLattice, force_scan: bool = False):
     a ↦ J↓(a) (the join-irreducibles below a) maps joins to unions and
     meets to intersections, and it is injective since a = ⋁J↓(a); L
     embeds in a powerset and is distributive.  Cost: two set lookups per
-    element over the order rows (join_primes, join_irreducibles).
+    element over the order rows (join_primes, join_irreducibles).  A keyed
+    lattice is a ring of sets, distributive by construction: it answers
+    (True, None) with no rows, at every size.
 
     When the route finds a failure, the witness is the first failing
     triple (a, b, c) of the definitional scan, run only then.  With
@@ -432,7 +511,7 @@ def is_distributive(L: FiniteLattice, force_scan: bool = False):
         return _distributivity_scan(L)
 
     def compute():
-        if join_primes(L) != join_irreducibles(L):
+        if L.keys is None and join_primes(L) != join_irreducibles(L):
             return _distributivity_scan(L)
         return (True, None)
 
@@ -703,9 +782,18 @@ def join_irreducibles(L: FiniteLattice) -> tuple:
     In a finite lattice a has exactly one lower cover iff the elements
     strictly below a have a greatest element m (that m is the cover), that
     is iff down[a] minus a is itself a down-row: one set lookup per a.
+
+    A keyed lattice needs no rows: its join-irreducibles are the distinct
+    m_x of _point_meets.  Every key k ≠ bottom is the union of the m_x for
+    x ∈ k∖bottom, so a join-irreducible k is one of them; and m_x ⊆ a ∪ b
+    puts x, hence m_x, in a or in b, so m_x is join-prime, and
+    join-irreducible as m_x ≠ bottom.
     """
 
     def compute():
+        if L.keys is not None:
+            index = L._key_index
+            return tuple(sorted({index[m] for m in _point_meets(L)}))
         L.materialize_rows()
         down = L._down
         rows = set(down)
@@ -728,10 +816,13 @@ def join_primes(L: FiniteLattice) -> tuple:
     and every x <= s lies outside ↑j, so L∖↑j = ↓s; if L∖↑j = ↓m, then
     s = m, which lies outside ↑j.  So the test is one set lookup per j
     among the down-rows, as in join_irreducibles; j = 0 fails it, since
-    L∖↑0 is empty and every down-row holds 0.
+    L∖↑0 is empty and every down-row holds 0.  On a keyed lattice the
+    join-primes are the join-irreducibles (see there), with no rows.
     """
 
     def compute():
+        if L.keys is not None:
+            return join_irreducibles(L)
         L.materialize_rows()
         rows = set(L._down)
         full = L.full_mask

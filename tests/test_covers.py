@@ -133,6 +133,36 @@ def test_t0_separating():
     assert not flag and wit == (0, 1)
 
 
+def ref_is_T0_separating(F):
+    """Definitional pair scan: the first (x, y), x < y, that no member
+    holds exactly one of."""
+    n = len(F.ground)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if not any(
+                (m.points >> x & 1) != (m.points >> y & 1)
+                for m in F.members
+            ):
+                return (False, (x, y))
+    return (True, None)
+
+
+def test_t0_separating_matches_pair_scan():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(600):
+        g = rng.randint(0, 7)
+        members = tuple(
+            Member(f"u{i}", rng.getrandbits(g) if g else 0, rng.randrange(2))
+            for i in range(rng.randint(0, 6))
+        )
+        F = CoverFamily(tuple(str(x) for x in range(g)), members)
+        verdict = is_T0_separating(F)
+        assert verdict == ref_is_T0_separating(F), F
+        seen.add(verdict[0])
+    assert seen == {True, False}
+
+
 # -- centered subcollections ------------------------------------------------
 
 

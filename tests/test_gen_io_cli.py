@@ -41,6 +41,10 @@ def test_gen_caps():
 @pytest.mark.parametrize("make, message", [
     (lambda: gen.random_poset(-1, 0), "poset points must be in 0..16, got -1"),
     (lambda: gen.random_poset(17, 0), "poset points must be in 0..16, got 17"),
+    (
+        lambda: gen.random_downset_lattice(-3, 0),
+        "poset points must be in 0..16, got -3",
+    ),
     (lambda: gen.boolean_algebra(-1), "atom count must be in 0..10, got -1"),
     (lambda: gen.boolean_algebra(11), "atom count must be in 0..10, got 11"),
     (
@@ -62,6 +66,12 @@ def test_cli_gen_size_out_of_range(capsys):
     code = cli.main(["gen", "--kind", "staged-family", "--size", "0"])
     err = capsys.readouterr().err
     assert code == 2 and err == "error: member count must be in 1..14, got 0\n"
+
+
+def test_cli_gen_downset_negative_size(capsys):
+    code = cli.main(["gen", "--kind", "downset", "--size", "-3"])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: poset points must be in 0..16, got -3\n"
 
 
 def test_downset_lattice_size_zero():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 from test_lattice import closure_system_lattices
 from test_spaces import oracle_lattices, ref_closed_family
 
-from wallman import gen, homs
+from wallman import cli, gen, homs
 from wallman.bits import mask_of, subset
 from wallman.errors import (
     NonUniqueExtension,
@@ -14,6 +15,7 @@ from wallman.errors import (
     NotComposable,
     OracleDisagreement,
     PreconditionFailed,
+    TooLarge,
 )
 from wallman.filters import enumerate_filters, is_prime
 from wallman.homs import (
@@ -314,9 +316,11 @@ def test_functor_laws_random(j, k, l, seed):
     assert functor_laws(g, h)
 
 
-def test_each_hom_verified_once(monkeypatch):
+def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
     """Every public entry verifies its input once (functor_laws its two
-    inputs); functor_laws builds ult(K), ult(L) and ult(M) once each."""
+    inputs); functor_laws builds ult(K), ult(L) and ult(M) once each.
+    `wallman hom` verifies its hom once whatever the flags, and --laws
+    its second hom once more."""
     B = [gen.boolean_algebra(k) for k in (3, 2, 2)]
     h = gen.random_boolean_hom(B[0], B[1], 1)
     g = gen.random_boolean_hom(B[1], B[2], 2)
@@ -341,6 +345,25 @@ def test_each_hom_verified_once(monkeypatch):
     assert functor_laws(g, h)
     assert verified == [g, h]
     assert built == [h.source, h.target, g.target]
+
+    names = ["{}", "{0}", "{1}", "{0,1}"]
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({
+        "source": "powerset2",
+        "target": "powerset2",
+        "map": [[nm, nm] for nm in names],
+    }))
+    for flags, count in (
+        (["--induced"], 1),
+        (["--separative"], 1),
+        (["--equivalence"], 1),
+        (["--laws", str(path)], 2),
+        (["--induced", "--separative", "--equivalence", "--laws", str(path)], 2),
+    ):
+        verified.clear()
+        assert cli.main(["hom", str(path), *flags]) == 0, flags
+        capsys.readouterr()
+        assert len(verified) == count, flags
 
 
 def test_functor_laws_names_the_bad_input(powerset3):
@@ -368,6 +391,50 @@ def test_embedding_from_separation(corpus, embedding):
     # the {1}->{1,2} embedding cannot separate {1} from {2}
     rep = embedding_from_separation(embedding)
     assert not rep.separating_image
+
+
+def ref_image_separates(h):
+    """Definitional scan: every disjoint pair (a, b) of the target has
+    some c in the image with a <= c and c ∧ b = 0."""
+    L = h.target
+    img = h.image_ids()
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.meet(a, b) != L.bottom:
+                continue
+            if not any(
+                L.leq(a, c) and L.meet(c, b) == L.bottom for c in img
+            ):
+                return False
+    return True
+
+
+def test_image_separates_matches_reference(corpus, quotient, embedding):
+    """Boolean homs, prime-filter homs into powersets, and the bounds-only
+    homs 2 -> L, whose image separates iff no two nonzero elements of L
+    are disjoint."""
+    rng = random.Random(2)
+    lattices = oracle_lattices(corpus)
+    homs_ = [quotient, embedding] + random_boolean_homs()
+    homs_ += [h for L in lattices if L.n > 1 for h in prime_filter_homs(L, rng)]
+    two = chain_lattice(2)
+    homs_ += [LatticeHom(two, L, (L.bottom, L.top)) for L in lattices]
+    homs_ += [identity_hom(L) for L in lattices]
+    seen = set()
+    for h in homs_:
+        verdict = image_separates(h)
+        assert verdict == ref_image_separates(h), h
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_image_separates_above_size_cap():
+    """The masks read the target's order rows, so a keyed target above
+    SIZE_CAP raises TooLarge where the definitional scan made n² lookups."""
+    P = powerset_lattice(13)
+    assert P.n > SIZE_CAP
+    with pytest.raises(TooLarge):
+        image_separates(identity_hom(P))
 
 
 def test_image_separates_iff_onto_on_boolean_targets():

@@ -13,6 +13,7 @@ from wallman.bits import (
     reflexive_transitive_closure,
     subset,
     transpose,
+    union_closure,
 )
 from wallman.errors import (
     NoBounds,
@@ -20,12 +21,14 @@ from wallman.errors import (
     NotAPoset,
     NotDistributive,
     TooLarge,
+    WallmanError,
 )
 from wallman.lattice import (
     SIZE_CAP,
     FiniteLattice,
     _disjoint_masks,
     _join_to_top_masks,
+    _key_name,
     atoms,
     attach_bottom,
     chain_lattice,
@@ -464,12 +467,16 @@ def test_predicates_match_references_on_closure_systems(L):
 
 
 def test_predicates_above_size_cap():
-    """A keyed lattice above SIZE_CAP: the predicates need its order rows
-    and raise TooLarge, as before, when they ask for them (is_normal
-    through its distributivity check); atoms and generated sublattices
-    need no rows."""
+    """A keyed lattice above SIZE_CAP: distributivity, the
+    join-irreducibles and the join-primes are read off its ground points
+    and answer at every size.  is_separative and is_normal need its order
+    rows and raise TooLarge when they ask for them (is_normal through its
+    disjointness masks); atoms and generated sublattices need no rows."""
     P = powerset_lattice(13)
     assert P.n > SIZE_CAP
+    assert is_distributive(P) == (True, None)
+    singletons = tuple(1 << i for i in range(13))  # ids are keys here
+    assert join_irreducibles(P) == join_primes(P) == singletons
     with pytest.raises(TooLarge):
         is_separative(P)
     with pytest.raises(TooLarge):
@@ -535,6 +542,118 @@ def test_from_keys_checks_every_pair():
         FiniteLattice.from_keys(keys)
     assert info.value.witness == (len(keys) - 2, len(keys) - 1)
     assert FiniteLattice.from_keys(chain + [0b01, 0b10, 0b11]).n == 704
+
+
+def ref_key_closure(keys):
+    """from_keys's checks with the definitional pair scan, as they stood
+    before the ring-of-sets test: the bounds, then the first pair (i, j),
+    i < j, whose & or | is missing."""
+    keys = list(keys)
+    n = len(keys)
+    if n == 0:
+        raise NotALattice("a lattice needs at least one element")
+    if len(set(keys)) != n:
+        raise NotAPoset("duplicate keys violate antisymmetry")
+    index = {k: i for i, k in enumerate(keys)}
+    bot_key = keys[0]
+    top_key = keys[0]
+    for k in keys:
+        bot_key &= k
+        top_key |= k
+    if bot_key not in index or top_key not in index:
+        raise NoBounds("key family lacks its intersection or union")
+    for i, a in enumerate(keys):
+        for j in range(i + 1, n):
+            b = keys[j]
+            if a & b not in index or a | b not in index:
+                raise NotALattice(
+                    "key family is not closed under meet/join",
+                    witness=(i, j),
+                )
+
+
+def ring_of_sets(rng):
+    """Keys of a random ring of sets, in random order: the down-sets of a
+    random preorder on 1 to 7 points, each joined with 0 to 2 low points
+    that every key holds, so the bottom key need not be empty.  Returns
+    the keys and the masks of the ground and of the low points."""
+    g = rng.randint(1, 7)
+    p = rng.uniform(0.05, 0.4)
+    rows = reflexive_transitive_closure(
+        [mask_of(j for j in range(g) if rng.random() < p) for _ in range(g)]
+    )
+    shift = rng.randint(0, 2)
+    low = (1 << shift) - 1
+    keys = [low | d << shift for d in union_closure(transpose(rows))]
+    rng.shuffle(keys)
+    return keys, (1 << g + shift) - 1, low
+
+
+def outcome(build, keys):
+    try:
+        build(keys)
+    except WallmanError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+def test_key_closure_check_matches_pair_scan():
+    """Half the families are rings of sets, half have one key dropped or
+    one mask added; verdict, message and witness agree with the scan."""
+    rng = random.Random(12)
+    verdicts = []
+    for trial in range(2400):
+        keys, ground, low = ring_of_sets(rng)
+        if trial % 2:
+            outside = [m for m in range(ground + 1) if m & low == low]
+            outside = sorted(set(outside) - set(keys))
+            if outside and rng.random() < 0.5:
+                keys.insert(rng.randrange(len(keys) + 1), rng.choice(outside))
+            else:
+                keys.pop(rng.randrange(len(keys)))
+        got = outcome(FiniteLattice.from_keys, keys)
+        assert got == outcome(ref_key_closure, keys), keys
+        if trial % 2 == 0:
+            assert got is None
+        verdicts.append(got and got[0])
+    assert {NotALattice, NoBounds, None} <= set(verdicts)
+    assert verdicts.count(NotALattice) > 500
+
+
+def row_route(L):
+    """A table-mode copy of keyed L with the same ids, whose structure is
+    read off the order rows."""
+    rows = [L.up_mask(a) for a in range(L.n)]
+    return FiniteLattice.from_up_rows(L.names, rows, check=False)
+
+
+def test_keyed_structure_matches_the_row_route():
+    rng = random.Random(5)
+    lattices = [gen.random_downset_lattice(1 + seed % 8, seed) for seed in range(40)]
+    lattices += [powerset_lattice(k) for k in range(6)]
+    for k in range(1, 12):
+        chain = [(1 << i) - 1 for i in range(k)]
+        rng.shuffle(chain)
+        lattices.append(FiniteLattice.from_keys(chain))
+    lattices += [FiniteLattice.from_keys(ring_of_sets(rng)[0]) for _ in range(60)]
+    for L in lattices:
+        T = row_route(L)
+        assert join_irreducibles(L) == join_irreducibles(T)
+        assert join_primes(L) == join_primes(T)
+        assert is_distributive(L) == (True, None) == is_distributive(T)
+        assert is_distributive(L, force_scan=True) == (True, None)
+
+
+def test_names_on_demand_match_key_names():
+    keys = gen.random_downset_lattice(7, seed=4).keys
+    L = FiniteLattice.from_keys(keys)
+    assert L._names is None
+    assert L.names == tuple(_key_name(k) for k in keys)
+    given_names = [f"e{i}" for i in range(len(keys))]
+    M = FiniteLattice.from_keys(keys, names=given_names)
+    assert M.names == tuple(given_names)
+    with pytest.raises(ValueError, match="unique"):
+        FiniteLattice.from_keys(keys, names=["e"] * len(keys))
 
 
 relations = st.integers(0, 6).flatmap(

@@ -3,7 +3,9 @@
 enumerate_filters with the "brute" (its default) or "exhaustive" strategy
 is the definitional oracle behind `wallman filters --oracle/--strategy`;
 everything else reads filters off atoms and join-primes.  The triple scan
-_distributivity_scan is the witness search of is_distributive only.
+_distributivity_scan is the witness search of is_distributive only, and the
+key pair scan _first_unclosed_pair the witness search of from_keys, run
+only once its ring-of-sets check has failed.
 
 Each public hom entry verifies its input once and calls the unchecked
 private helpers, never another public entry; the centered enumeration
@@ -101,3 +103,30 @@ def test_centered_enumeration_only_in_centered_subsets():
     assert {(module, fn) for module, fn, _ in calls} == {
         ("covers.py", "centered_subsets")
     }
+
+
+def test_key_pair_scan_only_when_the_ring_check_fails():
+    calls = calls_to("_first_unclosed_pair")
+    assert {(module, fn) for module, fn, _ in calls} == {
+        ("lattice.py", "from_keys")
+    }
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    from_keys = next(
+        fn for fn in top_level_functions(tree) if fn.name == "from_keys"
+    )
+    guarded = set()
+    for node in ast.walk(from_keys):
+        if isinstance(node, ast.If) and any(
+            isinstance(t, ast.UnaryOp)
+            and isinstance(t.op, ast.Not)
+            and isinstance(t.operand, ast.Call)
+            and getattr(t.operand.func, "id", None) == "_is_ring_of_sets"
+            for t in ast.walk(node.test)
+        ):
+            guarded |= {
+                (n.lineno, n.col_offset)
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Call)
+            }
+    assert all((c.lineno, c.col_offset) in guarded for _, _, c in calls)
