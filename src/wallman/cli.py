@@ -26,8 +26,8 @@ def emit(report: dict, pretty: bool) -> None:
     if pretty:
         _pretty(report)
     else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True, default=str)
-        sys.stdout.write("\n")
+        text = json.dumps(report, indent=1, sort_keys=True, default=str)
+        sys.stdout.write(text + "\n")
 
 
 def _pretty(obj, indent=0):
@@ -53,17 +53,22 @@ def _pretty(obj, indent=0):
 # commands
 
 
+# the verdicts of `wallman check`, each read off LatticeReport.is_<name>
+CHECK_VERDICTS = ("lattice", "distributive", "normal", "separative", "boolean")
+
+
 def cmd_check(args) -> int:
     elapsed = _timer()
+    required = [r.strip() for r in args.require.split(",") if r.strip()]
+    unknown = [r for r in required if r not in CHECK_VERDICTS]
+    if unknown:
+        raise ValueError(
+            f"--require: unknown predicate {unknown[0]!r}"
+            f" (choose from {', '.join(CHECK_VERDICTS)})"
+        )
     L = io.resolve_lattice(args.path)
     rep = lattice.lattice_report(L)
-    verdicts = {
-        "lattice": rep.is_lattice,
-        "distributive": rep.is_distributive,
-        "normal": rep.is_normal,
-        "separative": rep.is_separative,
-        "boolean": rep.is_boolean,
-    }
+    verdicts = {k: getattr(rep, f"is_{k}") for k in CHECK_VERDICTS}
     witnesses = {
         k: [L.names[i] for i in w] for k, w in rep.witnesses.items()
     }
@@ -78,11 +83,7 @@ def cmd_check(args) -> int:
         "timings_ms": {"total": elapsed()},
     }
     emit(report, args.pretty)
-    required = args.require.split(",") if args.require else []
-    for req in required:
-        if req and not verdicts.get(req.strip(), False):
-            return 1
-    return 0
+    return 0 if all(verdicts[r] for r in required) else 1
 
 
 def cmd_filters(args) -> int:

@@ -1,9 +1,12 @@
 """Filter enumeration and classification, with brute oracle and fast path.
 
 Filters are bitsets of element ids.  In a finite lattice every filter is
-principal, so the brute enumeration walks principal filters and tests the
-requested class predicate definitionally; a genuinely exhaustive scan over
-upward-closed subsets backs it up for small lattices.
+principal, so the brute enumeration walks the principal filters ↑c.  The
+ultra and all classes test each one by definition.  The prime class is the
+prime law transposed into one pass over the pairs of the lattice (see
+_non_prime_generators): about n²/2 joins for all the ↑c together, where
+testing each ↑c alone costs O(n³).  A genuinely exhaustive scan over
+upward-closed subsets backs both up for small lattices.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ class FilterSet:
         return tuple(iter_bits(self.members))
 
     def element_names(self) -> tuple:
-        return tuple(self.lattice.names[i] for i in iter_bits(self.members))
+        names = self.lattice.names
+        return tuple(names[i] for i in iter_bits(self.members))
 
     def min_element(self) -> int:
         """The generator: the meet of all members (filters are principal)."""
@@ -160,6 +164,29 @@ def _prime_scan(L: FiniteLattice, members: int) -> tuple:
     return (True, None)
 
 
+def _non_prime_generators(L: FiniteLattice) -> int:
+    """Bitset of the c whose principal filter ↑c is not prime.
+
+    The prime law for ↑c, read through a ∈ ↑c ⟺ c ∈ ↓a: a pair (a, b)
+    breaks it iff c ∈ ↓(a∨b) ∖ (↓a ∪ ↓b).  One pass over the pairs
+    collects those c for every ↑c at once.  A comparable pair, or a = b,
+    has a∨b ∈ {a, b} and breaks nothing, so only the incomparable pairs
+    a < b (in id order) are joined: n²/2 joins at most.  The pass is the
+    definition and nothing more, with no join-prime lemma, atoms or
+    distributivity, so it stays an oracle for the fast path.
+    """
+    down = [L.down_mask(a) for a in range(L.n)]
+    full = L.full_mask
+    failing = 0
+    for a in range(L.n):
+        da = down[a]
+        # the b > a (in id order) incomparable to a
+        rest = full & ~(da | L.up_mask(a)) & ~((2 << a) - 1)
+        for b in iter_bits(rest):
+            failing |= down[L.join(a, b)] & ~(da | down[b])
+    return failing
+
+
 def is_prime(L: FiniteLattice, F) -> tuple:
     """a∨b in F implies a in F or b in F; returns (flag, witness pair)."""
     members = _members_of(F)
@@ -199,10 +226,16 @@ def enumerate_filters(
 ) -> list:
     """List filters of a class, sorted by their minimum element id.
 
-    brute walks principal filters and applies the definitional class
-    predicate; fast uses atoms (ultra) / the memoized join-primes (prime,
-    as build_space does) and requires verified distributivity; exhaustive
-    scans all upward-closed subsets (|L| capped, see WALLMAN_MAX_BRUTE).
+    - brute walks the principal filters ↑c, c ≠ 0, and decides the class
+      by definition on any lattice: ultra by maximality (_is_maximal),
+      prime by the one pass over pairs of _non_prime_generators, which
+      names every ↑c that some pair a, b outside it joins into it.
+    - fast requires verified distributivity and reads the generators off
+      the atoms (ultra) or the memoized join-primes (prime), as
+      build_space does.
+    - exhaustive scans all upward-closed subsets with the definitional
+      filter, prime and maximality checks (|L| capped, see
+      WALLMAN_MAX_BRUTE).
     """
     if kind not in ("all", "prime", "ultra"):
         raise ValueError(f"unknown filter class {kind!r}")
@@ -225,21 +258,15 @@ def enumerate_filters(
         ]
 
     if strategy == "brute":
+        failing = _non_prime_generators(L) if kind == "prime" else 0
+        tag = "filter" if kind == "all" else kind
         out = []
         for a in range(L.n):
-            if a == L.bottom:
+            if a == L.bottom or failing >> a & 1:
                 continue
             members = L.up_mask(a)
-            if kind == "prime":
-                if not _prime_scan(L, members)[0]:
-                    continue
-                tag = "prime"
-            elif kind == "ultra":
-                if not _is_maximal(L, members):
-                    continue
-                tag = "ultra"
-            else:
-                tag = "filter"
+            if kind == "ultra" and not _is_maximal(L, members):
+                continue
             out.append(FilterSet(L, members, kind=tag))
         return out
 

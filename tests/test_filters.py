@@ -1,11 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lattice import closure_system_lattices
 from test_spaces import oracle_lattices
 
 from wallman import gen
 from wallman.bits import iter_bits, mask_of, subset
-from wallman.lattice import chain_lattice, is_normal
+from wallman.lattice import FiniteLattice, chain_lattice, is_normal
 from wallman.errors import (
     DegenerateLattice,
     ElementInFilter,
@@ -140,6 +143,74 @@ def test_exhaustive_cap(monkeypatch, powerset3):
     assert len(enumerate_filters(powerset3, "ultra", "exhaustive")) == 3
 
 
+def ref_brute_prime_filters(L):
+    """The prime filters by definition, one at a time: each principal
+    filter ↑a, a ≠ 0, tested alone against the prime law over the pairs
+    outside it, O(n³) joins in all.  Returns the member bitsets in
+    generator-id order."""
+
+    def prime_scan(members):
+        outside = list(iter_bits(L.full_mask & ~members))
+        for i, a in enumerate(outside):
+            for b in outside[i:]:
+                if members >> L.join(a, b) & 1:
+                    return (False, (a, b))
+        return (True, None)
+
+    out = []
+    for a in range(L.n):
+        if a == L.bottom:
+            continue
+        members = L.up_mask(a)
+        if not prime_scan(members)[0]:
+            continue
+        out.append(members)
+    return out
+
+
+def check_brute_primes(L):
+    """The brute prime enumeration against ref_brute_prime_filters: the
+    same members in the same order, all tagged prime.  Returns the
+    verdicts seen, True for a prime ↑a and False for one that is not."""
+    got = enumerate_filters(L, "prime", "brute")
+    want = ref_brute_prime_filters(L)
+    assert [f.members for f in got] == want, L
+    assert all(f.kind == "prime" for f in got)
+    seen = set()
+    if want:
+        seen.add(True)
+    if len(want) < L.n - 1:
+        seen.add(False)
+    return seen
+
+
+def shuffled_chains(rng):
+    """Keyed chains of 2 to 12 elements with their ids in random order."""
+    for k in range(2, 13):
+        keys = [(1 << i) - 1 for i in range(k)]
+        rng.shuffle(keys)
+        yield FiniteLattice.from_keys(keys)
+
+
+def test_brute_primes_match_reference(corpus):
+    """Fixtures (M3 and N5 included), their opposites and attach_bottom,
+    seeded keyed down-set lattices and shuffled chains."""
+    lattices = [L for L in oracle_lattices(corpus) if L.n > 1]
+    lattices += [gen.random_downset_lattice(7, seed) for seed in range(10)]
+    lattices += list(shuffled_chains(random.Random(8)))
+    seen = set()
+    for L in lattices:
+        seen |= check_brute_primes(L)
+    assert seen == {True, False}
+
+
+@given(closure_system_lattices())
+@settings(max_examples=60, deadline=None)
+def test_brute_primes_match_reference_on_shuffled_ids(L):
+    if L.n > 1:
+        check_brute_primes(L)
+
+
 @given(small_lattices)
 @settings(max_examples=40, deadline=None)
 def test_brute_fast_exhaustive_agree(L):
@@ -150,6 +221,7 @@ def test_brute_fast_exhaustive_agree(L):
         if L.n <= 18:
             exh = {f.members for f in enumerate_filters(L, kind, "exhaustive")}
             assert brute == exh
+    check_brute_primes(L)
 
 
 @given(small_lattices)

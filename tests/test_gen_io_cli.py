@@ -211,6 +211,23 @@ def test_cli_check_examples(capsys):
     assert code == 1
 
 
+def test_cli_check_require_unknown_predicate(capsys):
+    """A misspelt predicate is an input error, named before any lattice is
+    loaded; empty items stay accepted."""
+    for path in ("powerset3", "no_such_file.json"):
+        code = cli.main(["check", path, "--require", "distributive,distrbutive"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: --require: unknown predicate 'distrbutive' (choose from"
+            " lattice, distributive, normal, separative, boolean)\n"
+        )
+    code, _ = run(capsys, "check", "powerset3", "--require", "distributive,,boolean")
+    assert code == 0
+    code, _ = run(capsys, "check", "fivepoint", "--require", " normal ,")
+    assert code == 1
+
+
 def test_cli_filters_examples(capsys):
     code, rep = run(capsys, "filters", "one_plus_b2", "--class", "ultra")
     assert code == 0 and rep["count"] == 1

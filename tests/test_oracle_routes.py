@@ -2,7 +2,10 @@
 
 enumerate_filters with the "brute" (its default) or "exhaustive" strategy
 is the definitional oracle behind `wallman filters --oracle/--strategy`;
-everything else reads filters off atoms and join-primes.  The triple scan
+everything else reads filters off atoms and join-primes.  Its brute prime
+route, the pass over pairs _non_prime_generators, reaches none of the
+functions the fast path argues from (join_primes, join_irreducibles, atoms,
+is_distributive), so the two routes share no lemma.  The triple scan
 _distributivity_scan is the witness search of is_distributive only, and the
 key pair scan _first_unclosed_pair the witness search of from_keys, run
 only once its ring-of-sets check has failed.
@@ -130,3 +133,47 @@ def test_key_pair_scan_only_when_the_ring_check_fails():
                 if isinstance(n, ast.Call)
             }
     assert all((c.lineno, c.col_offset) in guarded for _, _, c in calls)
+
+
+def function_index():
+    """Every module-level function and method of the package, by name
+    (methods of one name are pooled)."""
+    index = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in top_level_functions(tree):
+            index.setdefault(fn.name, []).append(fn)
+    return index
+
+
+def called_names(nodes):
+    return {
+        getattr(n.func, "attr", None) or getattr(n.func, "id", None)
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+    }
+
+
+def test_brute_prime_route_shares_nothing_with_the_fast_path():
+    """Every function the brute branch of enumerate_filters reaches, by
+    name through the package, avoids the fast path's generators."""
+    index = function_index()
+    (enum,) = index["enumerate_filters"]
+    (brute,) = [
+        node
+        for node in ast.walk(enum)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and getattr(node.test.left, "id", None) == "strategy"
+        and getattr(node.test.comparators[0], "value", None) == "brute"
+    ]
+    reached = set()
+    todo = called_names(brute.body)
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= called_names(index.get(name, [])) - reached
+    assert "_non_prime_generators" in reached
+    fast = {"join_primes", "join_irreducibles", "atoms", "is_distributive"}
+    assert not reached & fast, reached & fast
