@@ -16,12 +16,27 @@ SIZE_CAP.
 A keyed lattice is a ring of sets: a family closed under ∩ and ∪.  It is
 read through its ground points.  For a point x of top∖bottom, m_x is the
 intersection of the keys holding x (_point_meets, n·|G| big-int ANDs for n
-keys over a ground set G).  from_keys checks closure with one key lookup
-per key and point instead of one per pair of keys; the m_x are the
-join-irreducibles, which are also the join-primes, and the lattice is
-distributive by construction, so these answers need no order rows and
-hold above SIZE_CAP.  Element names of a keyed lattice built without names
-are made from its keys on first read.
+keys over a ground set G), and holds_x is the bitset of elements whose
+key holds x, the up-row of m_x (_point_holds, the columns of the keys
+read as an n × |G| bit matrix).  from_keys checks closure with one key lookup per key and point
+instead of one per pair of keys; the m_x are the join-irreducibles, which
+are also the join-primes, and the lattice is distributive by
+construction.  The other structural answers are read off the same points,
+each argued in its docstring:
+
+* atoms: the m_x of the minimal points, O(|G|²) key comparisons;
+* is_boolean: every point is minimal, O(|atoms|) once the atoms are known;
+* is_separative: the first element holding a point that is not minimal,
+  O(n) key tests, then O(|G|) ANDs of holds_x for its witness;
+* is_normal: no two points with disjoint m_x share an upper point,
+  O(|G|²) key tests; only on failure a pass of O(n·|G|) big-int ORs over
+  the holds_x names the witness;
+* build_space (spaces.py): the point generated by m_x has the members
+  holds_x.
+
+None of these needs the order rows, so they answer above SIZE_CAP.
+Element names of a keyed lattice built without names are made from its
+keys on first read.
 """
 
 from __future__ import annotations
@@ -278,27 +293,22 @@ class FiniteLattice:
     def materialize_rows(self) -> None:
         """Compute and store the full order relation (keyed lattices).
 
-        For each ground point g (a point of the top key), holds[g] is the
-        set of elements whose key contains g.  The up-row of a is the
-        intersection of holds[g] over the points g of its key; b <= a iff
-        key b holds no point outside key a, so the down-row of a is the
-        full mask minus the union of holds[g] over the other points.  That
-        costs 2·n·|ground| big-int operations instead of n² key
-        comparisons and a transpose.
+        For each point g of top∖bottom, holds_g (_point_holds) is the set
+        of elements whose key contains g; the points of bottom lie in
+        every key and bound no row.  The up-row of a is the intersection
+        of holds_g over the points g of its key; b <= a iff key b holds no
+        point outside key a, so the down-row of a is the full mask minus
+        the union of holds_g over the other points.  That costs
+        2·n·|ground| big-int operations instead of n² key comparisons and
+        a transpose.
         """
         if self._up is not None:
             return
         if self.n > SIZE_CAP:
             raise TooLarge("relation rows beyond the size cap")
         full = self.full_mask
-        ground = list(iter_bits(self.keys[self.top]))
-        holds = []
-        for g in ground:
-            m = 0
-            for j, kj in enumerate(self.keys):
-                if kj >> g & 1:
-                    m |= 1 << j
-            holds.append(m)
+        ground = list(iter_bits(self.keys[self.top] & ~self.keys[self.bottom]))
+        holds = _point_holds(self)
         up = []
         down = []
         for ka in self.keys:
@@ -383,6 +393,29 @@ def _point_meets(L: FiniteLattice) -> list:
         return out
 
     return L._memo("point_meets", compute)
+
+
+def _point_holds(L: FiniteLattice) -> list:
+    """holds_x, the bitset of the elements whose key holds x, for each
+    point x of top∖bottom of a keyed lattice, in point order: the
+    columns of the keys read as a bit matrix, n·|G| bits.  A key holds x
+    iff it holds m_x (it holds m_x once it holds x, and x ∈ m_x), so
+    holds_x is the up-row of the element m_x."""
+
+    def compute():
+        keys = L.keys
+        top = keys[L.top]
+        cols = transpose(keys, top.bit_length())
+        return [cols[x] for x in iter_bits(top & ~keys[L.bottom])]
+
+    return L._memo("point_holds", compute)
+
+
+def _point_table(L: FiniteLattice, rows: list) -> dict:
+    """{x: rows[i]} for the i-th point x of top∖bottom of a keyed lattice,
+    with rows one of _point_meets(L) or _point_holds(L)."""
+    keys = L.keys
+    return dict(zip(iter_bits(keys[L.top] & ~keys[L.bottom]), rows))
 
 
 def _is_ring_of_sets(L: FiniteLattice) -> bool:
@@ -511,7 +544,9 @@ def is_distributive(L: FiniteLattice, force_scan: bool = False):
         return _distributivity_scan(L)
 
     def compute():
-        if L.keys is None and join_primes(L) != join_irreducibles(L):
+        if L.keys is not None:
+            return (True, None)
+        if join_primes(L) != join_irreducibles(L):
             return _distributivity_scan(L)
         return (True, None)
 
@@ -593,6 +628,23 @@ def is_normal(L: FiniteLattice, require_distributive: bool = True):
     one mask test per pair, with the pairs walked in the order of the
     definitional scan (a, then b >= a), so the witness is its first
     failing pair.
+
+    A keyed lattice is read off its points (see from_keys: key a is
+    bottom ∪ D_a for a down-set D_a of ⊑ on P = top∖bottom, and a∧b = 0
+    iff D_a ∩ D_b = ∅).  The largest a1 disjoint from b is P∖↑D_b: it is
+    a down-set missing D_b, and a down-set D meeting ↑D_b holds some
+    y ⊑ z ∈ D with y ∈ D_b, so it meets D_b.  Both conditions on a1 and
+    b1 only gain as they grow, so (a, b) is served iff
+    (P∖↑D_b) ∪ (P∖↑D_a) = P: a disjoint pair fails iff ↑D_a ∩ ↑D_b ≠ ∅.
+    Hence L is normal iff no two points x, y with m_x ∩ m_y = bottom
+    share an upper point z (x, y ∈ m_z): such x, y give the failing pair
+    (m_x, m_y), and a failing pair with x ∈ D_a, y ∈ D_b below a common
+    z has ↓x ⊆ D_a and ↓y ⊆ D_b disjoint.  That test costs O(|G|²) key
+    tests with no element mask.  Only when it fails does a pass over a
+    in id order build, from the holds_x, the b disjoint from a,
+    full ∖ ⋃{holds_x : x ∈ D_a}, and the b with ↑D_b ∩ ↑D_a ≠ ∅, that is
+    D_b ∩ ↓↑D_a ≠ ∅, ⋃{holds_y : y ∈ ↓↑D_a}; the lowest b >= a in both
+    is the first failing pair of the scan above.  O(n·|G|) big-int ORs.
     """
     dist, wit = is_distributive(L)
     if require_distributive and not dist:
@@ -601,6 +653,8 @@ def is_normal(L: FiniteLattice, require_distributive: bool = True):
         )
 
     def compute():
+        if L.keys is not None:
+            return _keyed_normal(L)
         disj = _disjoint_masks(L)
         jointop = _join_to_top_masks(L)
         for a in range(L.n):
@@ -618,6 +672,39 @@ def is_normal(L: FiniteLattice, require_distributive: bool = True):
     return L._memo("normal", compute)
 
 
+def _keyed_normal(L: FiniteLattice):
+    """is_normal of a keyed lattice, read off its points (see there)."""
+    keys = L.keys
+    low = keys[L.bottom]
+    meets = _point_table(L, _point_meets(L))
+    above = dict.fromkeys(meets, 0)  # above[x] = ↑x = {z : x ∈ m_z}
+    for z, m in meets.items():
+        for x in iter_bits(m & ~low):
+            above[x] |= 1 << z
+    pts = list(meets)
+    if not any(
+        meets[x] & meets[y] == low and above[x] & above[y]
+        for i, x in enumerate(pts)
+        for y in pts[i + 1 :]
+    ):
+        return (True, None)
+    holds = _point_table(L, _point_holds(L))
+    full = L.full_mask
+    for a, k in enumerate(keys):
+        hit = up = down = touch = 0
+        for x in iter_bits(k & ~low):
+            hit |= holds[x]
+            up |= above[x]
+        for z in iter_bits(up):
+            down |= meets[z]
+        for y in iter_bits(down & ~low):
+            touch |= holds[y]
+        bad = (full & ~hit & touch) >> a << a
+        if bad:
+            return (False, (a, (bad & -bad).bit_length() - 1))
+    raise OracleDisagreement("a clash of points gave no failing pair")
+
+
 def is_separative(L: FiniteLattice):
     """0 < a ≰ b implies some c > 0 with c <= a and c∧b = 0.
 
@@ -627,9 +714,37 @@ def is_separative(L: FiniteLattice):
     atom below a but not above a: the intersection of ↑t over the atoms
     t <= a, minus ↑a.  The first failing a with its lowest such b is the
     first pair of the definitional (a, b) scan.
+
+    On a keyed lattice the atoms t <= a are the m_x of the minimal points
+    x in D_a = key_a ∖ bottom (see atoms), with ↑t = holds_x, and
+    ↑a = ∩{holds_x : x ∈ D_a}, since a key holds key a iff it holds every
+    point of D_a.  So the failing b are ∩{holds_x : x ∈ D_a minimal}
+    minus ∩{holds_x : x ∈ D_a}, empty when every point of D_a is
+    minimal.  Otherwise a fails: for x ∈ D_a not minimal, the key bottom
+    ∪ ⋃{m_y : y ∈ D_a minimal} lies above every atom below a but misses
+    x (x ∈ m_y puts m_x inside m_y, so m_x = m_y and x would be
+    minimal).  So the first failing a is the first element whose key
+    holds a point that is not minimal, found with one key test per
+    element, and only its b are built, with O(|G|) ANDs.
     """
 
     def compute():
+        if L.keys is not None:
+            keys = L.keys
+            low = keys[L.bottom]
+            minimal = _minimal_points(L)
+            rest = keys[L.top] & ~low & ~minimal
+            for a, k in enumerate(keys):
+                if k & rest:
+                    holds = _point_table(L, _point_holds(L))
+                    common = up = L.full_mask
+                    for x in iter_bits(k & ~low):
+                        up &= holds[x]
+                        if minimal >> x & 1:
+                            common &= holds[x]
+                    bad = common & ~up
+                    return (False, (a, (bad & -bad).bit_length() - 1))
+            return (True, None)
         L.materialize_rows()
         up, down = L._up, L._down
         atom_mask = mask_of(atoms(L))
@@ -648,9 +763,20 @@ def is_separative(L: FiniteLattice):
 
 
 def is_boolean(L: FiniteLattice) -> bool:
-    """Distributive with every element complemented."""
+    """Distributive with every element complemented.
+
+    A keyed lattice is Boolean iff every point of top∖bottom is minimal
+    (see atoms), that is iff ⊑ is symmetric.  Then the complement of a
+    down-set is a down-set, and bottom ∪ (P∖D_a) complements key a.  If
+    y ∈ m_x∖bottom has m_y ≠ m_x, so that x ∉ m_y, a complement c of m_y
+    would miss y (m_y ∩ c = bottom) and hold x (m_y ∪ c = top), hence
+    hold m_x ∋ y.  The test reads the atoms' keys only.
+    """
 
     def compute():
+        if L.keys is not None:
+            keys = L.keys
+            return _minimal_points(L) == keys[L.top] & ~keys[L.bottom]
         dist, _ = is_distributive(L)
         if not dist:
             return False
@@ -751,29 +877,45 @@ def attach_bottom(L: FiniteLattice, new_name: str = "s") -> FiniteLattice:
 
 
 def atoms(L: FiniteLattice) -> tuple:
-    """Minimal nonzero elements."""
+    """Minimal nonzero elements, in id order: those with a two-element
+    down-row.
+
+    A keyed lattice needs no rows.  Its nonzero keys are bottom ∪ D for
+    the nonempty down-sets D of ⊑ (see from_keys).  A minimal one holds
+    some x, hence ↓x = m_x∖bottom, and so equals m_x; and m_x is minimal
+    iff no y ∈ m_x∖bottom has m_y ⊊ m_x, where y ∈ m_x already gives
+    m_y ⊆ m_x.  Call x minimal when every y ∈ m_x∖bottom has m_y = m_x:
+    the atoms are the distinct m_x of the minimal x, O(|G|²) key
+    comparisons.  Every point of an atom's key outside bottom is minimal,
+    so the minimal points are the union of the atoms' keys minus bottom.
+    """
 
     def compute():
-        bot = L.bottom
-        if L._down is not None:
-            return tuple(
-                a
-                for a in range(L.n)
-                if a != bot and popcount(L._down[a]) == 2
-            )
-        keys = L.keys
-        order = sorted(
-            (a for a in range(L.n) if a != bot),
-            key=lambda a: (popcount(keys[a]), keys[a]),
+        if L.keys is not None:
+            low = L.keys[L.bottom]
+            meets = _point_table(L, _point_meets(L))
+            index = L._key_index
+            found = {
+                index[m]
+                for m in meets.values()
+                if all(meets[y] == m for y in iter_bits(m & ~low))
+            }
+            return tuple(sorted(found))
+        down = L._down
+        return tuple(
+            a for a in range(L.n) if a != L.bottom and popcount(down[a]) == 2
         )
-        found = []
-        for a in order:
-            ka = keys[a]
-            if not any(subset(keys[t], ka) for t in found):
-                found.append(a)
-        return tuple(sorted(found))
 
     return L._memo("atoms", compute)
+
+
+def _minimal_points(L: FiniteLattice) -> int:
+    """The minimal points of a keyed lattice as a key (see atoms)."""
+    keys = L.keys
+    union = 0
+    for t in atoms(L):
+        union |= keys[t]
+    return union & ~keys[L.bottom]
 
 
 def join_irreducibles(L: FiniteLattice) -> tuple:

@@ -23,6 +23,7 @@ from wallman.errors import (
     TooLarge,
     WallmanError,
 )
+from wallman.homs import alexandrov, identity_hom, image_separates
 from wallman.lattice import (
     SIZE_CAP,
     FiniteLattice,
@@ -45,6 +46,7 @@ from wallman.lattice import (
     opposite,
     powerset_lattice,
 )
+from wallman.spaces import build_space, theorem_suite
 
 small_lattices = st.builds(
     gen.random_downset_lattice,
@@ -467,21 +469,30 @@ def test_predicates_match_references_on_closure_systems(L):
 
 
 def test_predicates_above_size_cap():
-    """A keyed lattice above SIZE_CAP: distributivity, the
-    join-irreducibles and the join-primes are read off its ground points
-    and answer at every size.  is_separative and is_normal need its order
-    rows and raise TooLarge when they ask for them (is_normal through its
-    disjointness masks); atoms and generated sublattices need no rows."""
+    """A keyed lattice above SIZE_CAP: distributivity, normality,
+    separativity, Booleanness, the atoms, the join-irreducibles, the
+    join-primes and both Wallman spaces are read off its ground points and
+    answer at every size, as do generated sublattices.  The disjointness
+    masks need its order rows and raise TooLarge, and with them
+    image_separates."""
     P = powerset_lattice(13)
     assert P.n > SIZE_CAP
     assert is_distributive(P) == (True, None)
     singletons = tuple(1 << i for i in range(13))  # ids are keys here
-    assert join_irreducibles(P) == join_primes(P) == singletons
+    assert join_irreducibles(P) == join_primes(P) == atoms(P) == singletons
+    assert is_normal(P, require_distributive=False) == (True, None)
+    assert is_separative(P) == (True, None)
+    assert is_boolean(P)
+    ult = build_space(P, "ultra")
+    assert ult.size == 13
+    assert [p.members for p in ult.points] == [
+        mask_of(k for k in range(P.n) if k >> i & 1) for i in range(13)
+    ]
     with pytest.raises(TooLarge):
-        is_separative(P)
+        _disjoint_masks(P)
     with pytest.raises(TooLarge):
-        is_normal(P, require_distributive=False)
-    assert len(atoms(P)) == 13
+        image_separates(identity_hom(P))
+    assert P._up is None
     assert generated_sublattice(P, [1, 2]) == frozenset({0, 1, 2, 3, P.top})
 
 
@@ -642,6 +653,68 @@ def test_keyed_structure_matches_the_row_route():
         assert join_primes(L) == join_primes(T)
         assert is_distributive(L) == (True, None) == is_distributive(T)
         assert is_distributive(L, force_scan=True) == (True, None)
+
+
+def keyed_family(rng):
+    """Keys of the down-set lattice of a random poset on 1 to 6 points,
+    with three changes each drawn at random: a duplicated ground point (a
+    new point held by exactly the keys holding an old one, so that ⊑ is
+    a preorder and not a partial order), 0 to 2 extra bottom points that
+    every key holds, and shuffled ids."""
+    k = rng.randint(1, 6)
+    rows = gen.random_poset(k, rng.randrange(10**6), rng.uniform(0.1, 0.7))
+    keys = list(gen.downset_lattice(rows).keys)
+    if rng.random() < 0.5:
+        x = rng.randrange(k)
+        keys = [key | (key >> x & 1) << k for key in keys]
+    shift = rng.choice((0, 0, 1, 2))
+    keys = [(1 << shift) - 1 | key << shift for key in keys]
+    if rng.random() < 0.5:
+        rng.shuffle(keys)
+    return keys
+
+
+def table_twin(L):
+    """Keyed L as a table-mode lattice with the same ids and names, its
+    rows read off key inclusion, so every answer takes the row route."""
+    keys = L.keys
+    rows = [mask_of(j for j, kj in enumerate(keys) if subset(k, kj)) for k in keys]
+    return FiniteLattice.from_up_rows(L.names, rows)
+
+
+def space_parts(S):
+    return [p.members for p in S.points], S.a_plus, S.closures
+
+
+def alexandrov_parts(res):
+    return res.algebra.keys, res.hom.map, res.onto.point_map, res.kernel
+
+
+def test_point_route_matches_the_row_route():
+    """Verdicts, witnesses, atoms, both spaces, the theorem suite and the
+    0-dimensionalization of keyed lattices, read off their points, agree
+    with their table twins, read off the order rows."""
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(2000):
+        L = FiniteLattice.from_keys(keyed_family(rng))
+        T = table_twin(L)
+        rep = lattice_report(L)
+        assert rep == lattice_report(T), L.keys
+        assert atoms(L) == atoms(T)
+        for kind in ("prime", "ultra"):
+            assert space_parts(build_space(L, kind)) == space_parts(
+                build_space(T, kind)
+            )
+        assert theorem_suite(L) == theorem_suite(T)
+        assert alexandrov_parts(alexandrov(L)) == alexandrov_parts(alexandrov(T))
+        assert L._up is None
+        seen.add((rep.is_normal, rep.is_separative, rep.is_boolean))
+    assert seen == {
+        (False, False, False),
+        (True, False, False),
+        (True, True, True),
+    }
 
 
 def test_names_on_demand_match_key_names():

@@ -12,10 +12,13 @@ only once its ring-of-sets check has failed.
 
 Each public hom entry verifies its input once and calls the unchecked
 private helpers, never another public entry; the centered enumeration
-_centered serves the chain search only.
+_centered serves the chain search only.  On a keyed lattice atoms,
+is_boolean, is_separative, is_normal and build_space read its ground
+points and reach none of the order-row and mask helpers.
 """
 
 import ast
+import copy
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "wallman"
@@ -177,3 +180,66 @@ def test_brute_prime_route_shares_nothing_with_the_fast_path():
     assert "_non_prime_generators" in reached
     fast = {"join_primes", "join_irreducibles", "atoms", "is_distributive"}
     assert not reached & fast, reached & fast
+
+
+def is_keyed_test(node):
+    """`if <lattice>.keys is not None:`, the branch a keyed lattice takes."""
+    test = getattr(node, "test", None)
+    return (
+        isinstance(node, ast.If)
+        and isinstance(test, ast.Compare)
+        and getattr(test.left, "attr", None) == "keys"
+        and isinstance(test.ops[0], ast.IsNot)
+        and getattr(test.comparators[0], "value", 0) is None
+    )
+
+
+def keyed_path(fn):
+    """A copy of fn as it runs on a keyed lattice: each keyed branch keeps
+    its body only, and when that body ends in a return the statements
+    after it in the same block go too."""
+
+    def prune(stmts):
+        out = []
+        for stmt in stmts:
+            if is_keyed_test(stmt):
+                out += prune(stmt.body)
+                if isinstance(stmt.body[-1], ast.Return):
+                    break
+                continue
+            for name in ("body", "orelse", "finalbody"):
+                if isinstance(getattr(stmt, name, None), list):
+                    setattr(stmt, name, prune(getattr(stmt, name)))
+            out.append(stmt)
+        return out
+
+    fn = copy.deepcopy(fn)
+    fn.body = prune(fn.body)
+    return fn
+
+
+def test_keyed_point_routes_read_no_rows():
+    """On a keyed lattice atoms, is_boolean, is_separative, is_normal and
+    build_space reach, by name through the package and along the keyed
+    branch of every function that has one, none of the row or mask
+    helpers."""
+    index = function_index()
+    rows = {
+        "materialize_rows",
+        "_disjoint_masks",
+        "_join_to_top_masks",
+        "_avoid_masks",
+        "up_mask",
+    }
+    for public in ("atoms", "is_boolean", "is_separative", "is_normal", "build_space"):
+        (fn,) = index[public]
+        assert any(is_keyed_test(node) for node in ast.walk(fn)), public
+        reached = set()
+        todo = called_names([keyed_path(fn)])
+        while todo:
+            name = todo.pop()
+            reached.add(name)
+            paths = [keyed_path(f) for f in index.get(name, [])]
+            todo |= called_names(paths) - reached
+        assert "_point_meets" in reached, public
+        assert not reached & rows, (public, reached & rows)

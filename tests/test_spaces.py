@@ -120,6 +120,36 @@ def test_closed_sets_of_pf_are_basic(L):
     assert S.closed_family() == frozenset(S.a_plus) | {S.full}
 
 
+def ref_closed_sets_are_basic(S):
+    """The closed sets are the unions of point closures and 0⁺ = ∅, so
+    they are all basic iff the full set is basic and the basic sets are
+    closed under ∪ with each closure."""
+    plus = set(S.a_plus)
+    return S.full in plus and all(x | c in plus for x in plus for c in S.closures)
+
+
+def check_closed_sets_are_basic(L):
+    """The scan holds on the prime space of every lattice with 0 ≠ 1 (its
+    points are join-prime, distributive or not), and theorem_suite
+    reports what the scan finds."""
+    if L.n == 1:
+        return
+    assert ref_closed_sets_are_basic(build_space(L, "prime"))
+    if is_distributive(L)[0]:
+        assert theorem_suite(L).closed_sets_are_basic
+
+
+def test_closed_sets_are_basic_on_fixtures_and_downsets(corpus):
+    for L in oracle_lattices(corpus):
+        check_closed_sets_are_basic(L)
+
+
+@given(st.one_of(small_lattices, closure_system_lattices()))
+@settings(max_examples=150, deadline=None)
+def test_closed_sets_are_basic_on_random_lattices(L):
+    check_closed_sets_are_basic(L)
+
+
 def test_separative_corollary_corpus(corpus):
     for L in corpus.values():
         assert finite_separative_is_boolean(L)
