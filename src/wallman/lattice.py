@@ -25,7 +25,8 @@ construction.  The other structural answers are read off the same points,
 each argued in its docstring:
 
 * atoms: the m_x of the minimal points, O(|G|²) key comparisons;
-* is_boolean: every point is minimal, O(|atoms|) once the atoms are known;
+* is_boolean: distributive (by construction) with every join-irreducible
+  an atom, read off the m_x like atoms and join_irreducibles;
 * is_separative: the first element holding a point that is not minimal,
   O(n) key tests, then O(|G|) ANDs of holds_x for its witness;
 * is_normal: no two points with disjoint m_x share an upper point,
@@ -353,10 +354,22 @@ class FiniteLattice:
         return f"<FiniteLattice {label} n={self.n}>"
 
     def __eq__(self, other) -> bool:
+        """Same element names and the same order on the element ids.
+
+        Two keyed lattices compare their sets of holds_x columns
+        (_point_holds) instead of their up-rows, with no rows and so at
+        every size.  The holds_x are the up-rows of the join-irreducibles
+        m_x, and a <= b iff every holds_x holding a holds b (key a lies in
+        key b iff key b holds every point of key a∖bottom).  So the set of
+        columns fixes the order, and the order fixes the set: the up-rows
+        of its join-irreducibles.  Any other pair compares up-rows.
+        """
         if not isinstance(other, FiniteLattice):
             return NotImplemented
         if self.names != other.names:
             return False
+        if self.keys is not None and other.keys is not None:
+            return set(_point_holds(self)) == set(_point_holds(other))
         return all(
             self.up_mask(i) == other.up_mask(i) for i in range(self.n)
         )
@@ -519,7 +532,7 @@ def powerset_lattice(k: int, name: Optional[str] = None) -> FiniteLattice:
 # structural predicates
 
 
-def is_distributive(L: FiniteLattice, force_scan: bool = False):
+def is_distributive(L: FiniteLattice):
     """Decide a∧(b∨c) = (a∧b)∨(a∧c) for all a, b, c, exactly at every size.
 
     Route: L is distributive iff every join-irreducible is join-prime,
@@ -536,12 +549,10 @@ def is_distributive(L: FiniteLattice, force_scan: bool = False):
     (True, None) with no rows, at every size.
 
     When the route finds a failure, the witness is the first failing
-    triple (a, b, c) of the definitional scan, run only then.  With
-    force_scan the scan alone decides (the oracle; not memoized).
+    triple (a, b, c) of the definitional scan, run only then; the scan
+    alone, _distributivity_scan, is the oracle.
     Returns (flag, witness_triple_or_None).
     """
-    if force_scan:
-        return _distributivity_scan(L)
 
     def compute():
         if L.keys is not None:
@@ -765,24 +776,21 @@ def is_separative(L: FiniteLattice):
 def is_boolean(L: FiniteLattice) -> bool:
     """Distributive with every element complemented.
 
-    A keyed lattice is Boolean iff every point of top∖bottom is minimal
-    (see atoms), that is iff ⊑ is symmetric.  Then the complement of a
-    down-set is a down-set, and bottom ∪ (P∖D_a) complements key a.  If
-    y ∈ m_x∖bottom has m_y ≠ m_x, so that x ∉ m_y, a complement c of m_y
-    would miss y (m_y ∩ c = bottom) and hold x (m_y ∪ c = top), hence
-    hold m_x ∋ y.  The test reads the atoms' keys only.
+    A finite distributive lattice is Boolean iff every join-irreducible
+    is an atom.  By Birkhoff's representation theorem (Davey & Priestley,
+    Introduction to Lattices and Order, 2nd ed., Thm 5.12) L is
+    isomorphic to the down-sets of its poset J of join-irreducibles, and
+    those form a powerset, a Boolean lattice, iff every down-set is an
+    up-set, that is iff J is an antichain.  J is an antichain iff each j
+    has no other join-irreducible below it, and since every element above
+    0 lies above a join-irreducible, iff each j is an atom.  Atoms are
+    always join-irreducible, so the test is atoms(L) == join_irreducibles(L).
+    On a keyed lattice all three calls read the ground points (see
+    is_distributive, atoms, join_irreducibles), with no rows.
     """
 
     def compute():
-        if L.keys is not None:
-            keys = L.keys
-            return _minimal_points(L) == keys[L.top] & ~keys[L.bottom]
-        dist, _ = is_distributive(L)
-        if not dist:
-            return False
-        disj = _disjoint_masks(L)
-        jointop = _join_to_top_masks(L)
-        return all(disj[a] & jointop[a] for a in range(L.n))
+        return is_distributive(L)[0] and atoms(L) == join_irreducibles(L)
 
     return L._memo("boolean", compute)
 

@@ -404,6 +404,90 @@ def test_refinements_preserve_t0(F):
         assert out.ord_transfer_ok
 
 
+# -- the refinement flags against their run-time scans ------------------------
+#
+# _refine sets its three flags by construction (see its docstring).  The
+# scans it used to run are kept here verbatim as the oracle, with group_key
+# read back off the output ids, so that a refinement whose output breaks a
+# flag's argument fails the check.
+
+
+def ref_refinement_flags(F: CoverFamily, out: CoverFamily, group_key) -> tuple:
+    was_t0 = is_T0_separating(F)[0]
+    t0_preserved = (not was_t0) or is_T0_separating(out)[0]
+    # ord transfer: stage-k slices of a group never beat the group itself
+    ord_ok = True
+    groups_in = F.groups()
+    for x in range(len(F.ground)):
+        for g, ms in groups_in.items():
+            base = ord_count(x, ms)
+            ks = {len(m.stages) for m in ms}
+            for k in range(max(ks)):
+                slice_members = [
+                    Member("w", m.stages[k], 0)
+                    for m in ms
+                    if k < len(m.stages)
+                ]
+                if ord_count(x, slice_members) > base:
+                    ord_ok = False
+    # centered-size bound per output group against its source group
+    rank_ok = True
+    src_rank = {
+        g: centered_poset_rank(ms, F.ground_mask).max_centered_size
+        for g, ms in groups_in.items()
+    }
+    for g_out, ms in out.groups().items():
+        srcs = {mm.group for mm in F.members for k in range(len(mm.stages))
+                if group_key(k, mm.group) == g_out}
+        bound = max(src_rank[g] for g in srcs)
+        got = centered_poset_rank(ms, F.ground_mask).max_centered_size
+        if got > bound:
+            rank_ok = False
+    return (t0_preserved, ord_ok, rank_ok)
+
+
+def output_group_key(out: CoverFamily):
+    """group_key as the refinement applied it, read off the output ids
+    "<id>.g<group>.k<stage>"."""
+    key_of = {}
+    for m in out.members:
+        _, g, k = m.id.rsplit(".", 2)
+        key_of[(int(k[1:]), int(g[1:]))] = m.group
+    return lambda k, g: key_of.get((k, g))
+
+
+def random_stage_family(rng: random.Random) -> CoverFamily:
+    """1 to 6 ground points, ids with dots in them, each id listed in 1 to
+    3 groups with its own random stage sequence per group; T0 or not."""
+    g = rng.randint(1, 6)
+    members = []
+    for i in range(rng.randint(1, 5)):
+        pts = rng.getrandbits(g)
+        for grp in rng.sample(range(5), rng.randint(1, 3)):
+            stages = [pts]
+            for _ in range(rng.randint(0, 3)):
+                stages.append(stages[-1] & rng.getrandbits(g))
+            members.append(Member(f"m.{i}", pts, grp, tuple(reversed(stages))))
+    return CoverFamily(tuple(f"p{x}" for x in range(g)), tuple(members))
+
+
+def test_refinement_flags_match_the_scans():
+    rng = random.Random(15)
+    families = [random_stage_family(rng) for _ in range(2000)]
+    families += [
+        gen.random_staged_family(1 + seed % 10, seed) for seed in range(400)
+    ]
+    seen = set()
+    for F in families:
+        seen.add(is_T0_separating(F)[0])
+        for refine in (wiec_refinement, rosenthal_refinement):
+            out = refine(F)
+            flags = (out.t0_preserved, out.ord_transfer_ok, out.group_rank_bounds_ok)
+            ref = ref_refinement_flags(F, out.family, output_group_key(out.family))
+            assert flags == ref == (True, True, True), (F, refine.__name__, ref)
+    assert seen == {True, False}
+
+
 def test_cantor_pair_injective():
     seen = {}
     for a in range(20):

@@ -569,9 +569,11 @@ def check_point_chase(L, S, res):
 
 
 def check_alexandrov(L):
-    """alexandrov's algebra against the reference, and j: a ↦ a⁺ against
-    the definitional hom check; where some ultrafilter is not prime, j is
-    no homomorphism and alexandrov raises, naming the first failing pair."""
+    """alexandrov's algebra against the reference, j: a ↦ a⁺ against the
+    definitional hom check, and the onto map, which alexandrov builds as
+    the identity, against the definitional continuity and surjectivity
+    checks; where some ultrafilter is not prime, j is no homomorphism and
+    alexandrov raises, naming the first failing pair."""
     if L.n == 1:
         return
     S = build_space(L, "ultra")
@@ -580,6 +582,10 @@ def check_alexandrov(L):
         assert list(res.algebra.keys) == ref_algebra_keys(S)
         assert is_boolean(res.algebra)
         assert verify_hom(res.hom) == (True, None)
+        assert res.onto.point_map == tuple(range(S.size))
+        assert ref_continuous(res.onto)
+        assert set(res.onto.point_map) == set(range(res.onto.target.size))
+        assert res.kernel == (L.bottom,)
         check_point_chase(L, S, res)
     else:
         with pytest.raises(AssertionError, match=r"check: \('join', \d+, \d+\)$"):
@@ -633,16 +639,6 @@ def _never(*args):
         [(SpaceMap, "is_injective", _never)],
         lambda P: embedding_from_separation(identity_hom(P)),
         "separating image must give an injection",
-    ),
-    (
-        [(SpaceMap, "is_continuous", _never)],
-        alexandrov,
-        "onto map failed the continuity check",
-    ),
-    (
-        [(SpaceMap, "is_surjective", _never)],
-        alexandrov,
-        "trivial kernel must give a surjection",
     ),
 ])
 def test_oracle_disagreement_sites(monkeypatch, corpus, patches, call, message):

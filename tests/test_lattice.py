@@ -23,11 +23,12 @@ from wallman.errors import (
     TooLarge,
     WallmanError,
 )
-from wallman.homs import alexandrov, identity_hom, image_separates
+from wallman.homs import alexandrov, compose, identity_hom, image_separates
 from wallman.lattice import (
     SIZE_CAP,
     FiniteLattice,
     _disjoint_masks,
+    _distributivity_scan,
     _join_to_top_masks,
     _key_name,
     atoms,
@@ -222,13 +223,13 @@ def test_report_witnesses_recheck(n5):
 def test_join_prime_route_matches_scan_on_fixtures(corpus):
     for L in corpus.values():
         for M in (L, opposite(L)):
-            assert is_distributive(M) == is_distributive(M, force_scan=True)
+            assert is_distributive(M) == _distributivity_scan(M)
 
 
 @given(closure_system_lattices())
 @settings(max_examples=150, deadline=None)
 def test_join_prime_route_matches_scan_on_closure_systems(L):
-    assert is_distributive(L) == is_distributive(L, force_scan=True)
+    assert is_distributive(L) == _distributivity_scan(L)
 
 
 def test_distributivity_exact_above_old_cap():
@@ -451,7 +452,7 @@ def check_predicates(L):
     norm = is_normal(L, require_distributive=False)
     assert norm == ref_is_normal(L)
     assert join_primes(L) == ref_join_primes(L)
-    dist = is_distributive(L, force_scan=True)[0]
+    dist = _distributivity_scan(L)[0]
     assert is_boolean(L) == (dist and all(d & j for d, j in zip(disj, jointop)))
     return sep[0], norm[0]
 
@@ -652,7 +653,7 @@ def test_keyed_structure_matches_the_row_route():
         assert join_irreducibles(L) == join_irreducibles(T)
         assert join_primes(L) == join_primes(T)
         assert is_distributive(L) == (True, None) == is_distributive(T)
-        assert is_distributive(L, force_scan=True) == (True, None)
+        assert _distributivity_scan(L) == (True, None)
 
 
 def keyed_family(rng):
@@ -717,6 +718,80 @@ def test_point_route_matches_the_row_route():
     }
 
 
+def ref_eq(A, B):
+    """Same names and the same up-row for every id: the row comparison."""
+    return A.names == B.names and all(
+        A.up_mask(i) == B.up_mask(i) for i in range(A.n)
+    )
+
+
+def test_equality_above_size_cap():
+    """Two keyed lattices compare without order rows, so == and compose
+    answer above SIZE_CAP."""
+    P, Q = powerset_lattice(13), powerset_lattice(13)
+    assert P.n > SIZE_CAP and P is not Q
+    assert P == Q
+    h = compose(identity_hom(Q), identity_hom(P))
+    assert h.map == tuple(range(P.n))
+    # the same key set under other ids, with the same names: the order on
+    # the ids differs (0 < 1 in P, 1 < 0 here)
+    R = FiniteLattice.from_keys(
+        [k ^ 1 for k in range(P.n)], names=P.names, verify=False
+    )
+    assert P != R
+    assert P._up is Q._up is R._up is None
+
+
+def test_equality_matches_the_row_comparison():
+    """== on keyed lattices against ref_eq, on their table twins (mixed
+    pairs), on copies with the ground points renamed (equal), on copies
+    with the keys shuffled over the ids (mostly unequal) and on pairs of
+    unrelated lattices of one size and one set of names."""
+    rng = random.Random(15)
+    lattices = [FiniteLattice.from_keys(keyed_family(rng)) for _ in range(300)]
+    seen = set()
+    by_size = {}
+    for L in lattices:
+        width = L.keys[L.top].bit_length()
+        perm = list(range(width))
+        rng.shuffle(perm)
+        renamed = FiniteLattice.from_keys(
+            [sum(1 << perm[x] for x in iter_bits(k)) for k in L.keys],
+            names=L.names,
+        )
+        shuffled = list(L.keys)
+        rng.shuffle(shuffled)
+        pairs = [
+            (L, renamed),
+            (L, FiniteLattice.from_keys(shuffled, names=L.names)),
+            (L, table_twin(L)),
+            (table_twin(L), L),
+        ]
+        named = FiniteLattice.from_keys(L.keys, names=[f"e{i}" for i in range(L.n)])
+        for M in by_size.get(L.n, []):
+            pairs.append((named, M))
+        by_size.setdefault(L.n, []).append(named)
+        for A, B in pairs:
+            verdict = A == B
+            assert verdict == ref_eq(A, B), (A.keys, B.keys)
+            if A.keys is not None and B.keys is not None:
+                seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_predicates_match_references_on_keyed_lattices():
+    """check_predicates on keyed lattices, Booleanness decided first from
+    the ground points alone: the complement oracle sees both verdicts."""
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(300):
+        L = FiniteLattice.from_keys(keyed_family(rng))
+        seen.add(is_boolean(L))
+        assert L._up is None
+        check_predicates(L)
+    assert seen == {True, False}
+
+
 def test_names_on_demand_match_key_names():
     keys = gen.random_downset_lattice(7, seed=4).keys
     L = FiniteLattice.from_keys(keys)
@@ -763,7 +838,7 @@ def test_opposite_chain(chain3):
 
 def test_opposite_preserves_distributivity(corpus):
     for L in corpus.values():
-        assert is_distributive(L)[0] == is_distributive(opposite(L), force_scan=True)[0]
+        assert is_distributive(L)[0] == _distributivity_scan(opposite(L))[0]
 
 
 def test_generated_sublattice_examples(powerset3):
@@ -849,7 +924,7 @@ def test_lattice_associativity(L):
 @given(small_lattices)
 @settings(max_examples=40, deadline=None)
 def test_downset_lattices_distributive(L):
-    assert is_distributive(L, force_scan=True)[0]
+    assert _distributivity_scan(L)[0]
 
 
 @given(small_lattices)
