@@ -11,7 +11,6 @@ upward-closed subsets backs both up for small lattices.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -33,7 +32,7 @@ from .lattice import (
     join_primes,
 )
 
-DEFAULT_EXHAUSTIVE_CAP = 18
+EXHAUSTIVE_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -73,15 +72,6 @@ def _members_of(S: Union[FilterSet, int, Iterable[int]]) -> int:
     if isinstance(S, int):
         return S
     return mask_of(S)
-
-
-def exhaustive_cap() -> int:
-    raw = os.environ.get("WALLMAN_MAX_BRUTE", str(DEFAULT_EXHAUSTIVE_CAP))
-    if not raw.isdecimal():
-        raise ValueError(
-            f"WALLMAN_MAX_BRUTE must be a natural number, not {raw!r}"
-        )
-    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +224,7 @@ def enumerate_filters(
       the atoms (ultra) or the memoized join-primes (prime), as
       build_space does.
     - exhaustive scans all upward-closed subsets with the definitional
-      filter, prime and maximality checks (|L| capped, see
-      WALLMAN_MAX_BRUTE).
+      filter, prime and maximality checks, for |L| <= EXHAUSTIVE_CAP.
     """
     if kind not in ("all", "prime", "ultra"):
         raise ValueError(f"unknown filter class {kind!r}")
@@ -271,10 +260,9 @@ def enumerate_filters(
         return out
 
     if strategy == "exhaustive":
-        cap = exhaustive_cap()
-        if L.n > cap:
+        if L.n > EXHAUSTIVE_CAP:
             raise TooLarge(
-                f"exhaustive scan capped at {cap} elements (|L|={L.n})"
+                f"exhaustive scan capped at {EXHAUSTIVE_CAP} elements (|L|={L.n})"
             )
         out = []
         upsets = union_closure(L.up_mask(a) for a in range(L.n))

@@ -460,10 +460,11 @@ def _first_unclosed_pair(keys: Sequence[int], index: Mapping) -> tuple:
 def load_lattice(spec: Mapping) -> FiniteLattice:
     """Build a lattice from a parsed description.
 
-    The description holds "elements" (unique strings) and exactly one of
-    "covers" or "leq", each a list of [lo, hi] name pairs.  leq is completed
-    to its reflexive-transitive closure, and from_up_rows checks that the
-    result is antisymmetric, bounded and has every binary meet.
+    The description holds "elements" (unique strings), exactly one of
+    "covers" or "leq", each a list of [lo, hi] name pairs, and an optional
+    string "name" (absent or null for none).  leq is completed to its
+    reflexive-transitive closure, and from_up_rows checks that the result
+    is antisymmetric, bounded and has every binary meet.
     """
     if not isinstance(spec, Mapping) or "elements" not in spec:
         raise ValueError('lattice description needs an "elements" list')
@@ -502,10 +503,13 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
         if not known or lo not in idx or hi not in idx:
             raise ValueError(f"unknown element in pair [{lo!r}, {hi!r}]")
         rows[idx[lo]] |= bit(idx[hi])
+    name = spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError('lattice field "name" is not a string')
     return FiniteLattice.from_up_rows(
         names,
         reflexive_transitive_closure(rows),
-        name=spec.get("name"),
+        name=name,
         check=False,
     )
 

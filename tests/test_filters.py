@@ -18,6 +18,7 @@ from wallman.errors import (
     TooLarge,
 )
 from wallman.filters import (
+    EXHAUSTIVE_CAP,
     FilterSet,
     enumerate_filters,
     generated_filter,
@@ -135,12 +136,12 @@ def test_fast_needs_distributivity(n5):
         enumerate_filters(n5, "ultra", "fast")
 
 
-def test_exhaustive_cap(monkeypatch, powerset3):
-    monkeypatch.setenv("WALLMAN_MAX_BRUTE", "4")
-    with pytest.raises(TooLarge):
-        enumerate_filters(powerset3, "ultra", "exhaustive")
-    monkeypatch.setenv("WALLMAN_MAX_BRUTE", "8")
-    assert len(enumerate_filters(powerset3, "ultra", "exhaustive")) == 3
+def test_exhaustive_cap():
+    above = chain_lattice(EXHAUSTIVE_CAP + 1)
+    with pytest.raises(TooLarge, match=f"capped at {EXHAUSTIVE_CAP} elements"):
+        enumerate_filters(above, "ultra", "exhaustive")
+    at = chain_lattice(EXHAUSTIVE_CAP)
+    assert len(enumerate_filters(at, "ultra", "exhaustive")) == 1
 
 
 def ref_brute_prime_filters(L):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_lattice import closure_system_lattices
 from test_spaces import oracle_lattices, ref_closed_family
 
-from wallman import cli, gen, homs
+from wallman import cli, gen, homs, io
 from wallman.bits import mask_of, subset
 from wallman.errors import (
     NonUniqueExtension,
@@ -121,12 +121,14 @@ def brute_extensions(K, pre):
 
 
 def check_induced_map(h):
-    """induced_map against the definitions.  The preimage of a prime point
-    is prime (the ultrafilters of a non-distributive lattice need not be,
-    and then neither need their preimages be), and each point goes to the
-    single brute-force ultrafilter extension of its preimage; where some
-    preimage has none or several, induced_map raises NonUniqueExtension.
-    Returns whether the map was defined."""
+    """_induced, the map of induced_map without its normality check,
+    against the definitions.  The preimage of a prime point is prime (the
+    ultrafilters of a non-distributive lattice need not be, and then
+    neither need their preimages be), each point goes to the single
+    brute-force ultrafilter extension of its preimage, and the map is
+    continuous; where some preimage has none or several extensions,
+    _induced raises NonUniqueExtension.  Returns whether the map was
+    defined."""
     K, L = h.source, h.target
     points = build_space(L, "ultra").points
     exts = []
@@ -137,12 +139,13 @@ def check_induced_map(h):
         exts.append(brute_extensions(K, pre))
     if any(len(e) != 1 for e in exts):
         with pytest.raises(NonUniqueExtension):
-            induced_map(h, require_normal=False)
+            homs._induced(h)
         return False
-    sm = induced_map(h, require_normal=False)
+    sm = homs._induced(h)
     assert [sm.target.points[i].members for i in sm.point_map] == [
         e[0] for e in exts
     ]
+    assert sm.is_continuous()
     return True
 
 
@@ -317,8 +320,10 @@ def test_functor_laws_random(j, k, l, seed):
 
 
 def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
-    """Every public entry verifies its input once (functor_laws its two
-    inputs); functor_laws builds ult(K), ult(L) and ult(M) once each.
+    """A hom object is verified once however many public entries it goes
+    through, since each reads the verdict cached in h.law: the five
+    one-hom entries and then functor_laws(g, h) verify h once and g once.
+    functor_laws builds ult(K), ult(L) and ult(M) once each.
     `wallman hom` verifies its hom once whatever the flags, and --laws
     its second hom once more."""
     B = [gen.boolean_algebra(k) for k in (3, 2, 2)]
@@ -337,13 +342,11 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
         surjectivity_from_kernel,
         embedding_from_separation,
     ):
-        verified.clear()
         entry(h)
-        assert verified == [h], entry
-    verified.clear()
+    assert verified == [h]
     built.clear()
     assert functor_laws(g, h)
-    assert verified == [g, h]
+    assert verified == [h, g]
     assert built == [h.source, h.target, g.target]
 
     names = ["{}", "{0}", "{1}", "{0,1}"]
@@ -354,9 +357,11 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
         "map": [[nm, nm] for nm in names],
     }))
     for flags, count in (
+        ([], 1),
         (["--induced"], 1),
         (["--separative"], 1),
         (["--equivalence"], 1),
+        (["--equivalence", "--unchecked"], 1),
         (["--laws", str(path)], 2),
         (["--induced", "--separative", "--equivalence", "--laws", str(path)], 2),
     ):
@@ -603,6 +608,34 @@ def test_alexandrov_keys_on_closure_systems(L):
     check_alexandrov(L)
 
 
+def ref_stone_fields(res):
+    """The fields of `wallman stone` that hold by construction, measured
+    on alexandrov's result."""
+    return {
+        "algebra_boolean": is_boolean(res.algebra),
+        "onto": res.onto.is_surjective(),
+        "continuous": res.onto.is_continuous(),
+    }
+
+
+def test_stone_fields_match_the_measurement(corpus, tmp_path, capsys):
+    """`wallman stone` reports the three fields as constants; on every
+    fixture but m3 (whose alexandrov raises) and on seeded down-set
+    lattices the measurement agrees, and the exit code is 0."""
+    jobs = [(name, L) for name, L in corpus.items() if name != "m3"]
+    for seed in range(30):
+        L = gen.random_downset_lattice(1 + seed % 6, seed)
+        path = tmp_path / f"downset{seed}.json"
+        path.write_text(json.dumps(io.dump_lattice(L)))
+        jobs.append((str(path), L))
+    for ref, L in jobs:
+        assert cli.main(["stone", ref]) == 0, ref
+        rep = json.loads(capsys.readouterr().out)
+        fields = ref_stone_fields(alexandrov(L))
+        assert fields == dict.fromkeys(fields, True), ref
+        assert {k: rep[k] for k in fields} == fields, ref
+
+
 # -- internal consistency checks ---------------------------------------------
 
 
@@ -610,35 +643,27 @@ def _never(*args):
     return False
 
 
+# Explicit ids keep each case's name stable across versions of the list;
+# cases 0 and 1 checked the continuity of induced maps, which now holds by
+# construction (see homs._induced).
 @pytest.mark.parametrize("patches, call, message", [
-    (
-        # chain3 fails the hypotheses, so unchecked=True returns a report;
-        # a fault inside induced_map must raise, not read as a false law
-        [(SpaceMap, "is_continuous", _never)],
-        lambda P: separativity_equivalence(
-            identity_hom(chain_lattice(3)), unchecked=True
-        ),
-        "induced map failed the continuity check",
-    ),
-    (
-        [(SpaceMap, "is_continuous", _never)],
-        lambda P: homs.induced_map(identity_hom(P)),
-        "induced map failed the continuity check",
-    ),
-    (
-        [(homs, "_separative", lambda h: (False, None))],
+    pytest.param(
+        [(homs, "is_separative_hom", lambda h: (False, None))],
         lambda P: separativity_equivalence(identity_hom(P)),
         "equivalence fails under hypotheses",
+        id="patches2-<lambda>-equivalence fails under hypotheses",
     ),
-    (
+    pytest.param(
         [(SpaceMap, "is_surjective", _never)],
         lambda P: surjectivity_from_kernel(identity_hom(P)),
         "trivial kernel must give a surjection",
+        id="patches3-<lambda>-trivial kernel must give a surjection",
     ),
-    (
+    pytest.param(
         [(SpaceMap, "is_injective", _never)],
         lambda P: embedding_from_separation(identity_hom(P)),
         "separating image must give an injection",
+        id="patches4-<lambda>-separating image must give an injection",
     ),
 ])
 def test_oracle_disagreement_sites(monkeypatch, corpus, patches, call, message):

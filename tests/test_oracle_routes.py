@@ -10,9 +10,11 @@ _distributivity_scan is the witness search of is_distributive only, and the
 key pair scan _first_unclosed_pair the witness search of from_keys, run
 only once its ring-of-sets check has failed.
 
-Each public hom entry verifies its input once and calls the unchecked
-private helpers, never another public entry; the centered enumeration
-_centered serves the chain search only.  On a keyed lattice atoms,
+Each public hom entry verifies its input once, through _require_hom, which
+reads the verdict cached in LatticeHom.law, so the entries may call each
+other and a hom object is verified once in all; cli.py names no private
+function of another module.  The centered enumeration _centered serves
+the chain search only.  On a keyed lattice atoms,
 is_boolean, is_separative, is_normal and build_space read its ground
 points and reach none of the order-row and mask helpers.
 
@@ -86,13 +88,6 @@ def test_distributivity_scan_only_in_is_distributive():
     }
 
 
-def test_homs_entries_call_the_unchecked_helpers():
-    for public in ("induced_map", "is_separative_hom"):
-        assert not [
-            fn for module, fn, _ in calls_to(public) if module == "homs.py"
-        ], public
-
-
 def test_hom_verified_once_per_public_entry():
     calls = calls_to("_require_hom")
     owners = [fn for module, fn, _ in calls if module == "homs.py"]
@@ -106,6 +101,40 @@ def test_hom_verified_once_per_public_entry():
         "surjectivity_from_kernel",
         "embedding_from_separation",
     }
+
+
+def test_cli_names_no_private_function_of_another_module():
+    """cli.py reaches the package through its public entries: no
+    underscore-prefixed name of another wallman module, by attribute or by
+    import."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    relative = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    modules = {
+        alias.asname or alias.name
+        for node in relative
+        if node.module is None
+        for alias in node.names
+    }
+    assert "homs" in modules
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    private += [
+        alias.name
+        for node in relative
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private
 
 
 def test_centered_enumeration_only_in_centered_subsets():
