@@ -23,6 +23,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def lowest_bit(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask: next(iter_bits(mask))
+    without a generator, for inner loops."""
+    return (mask & -mask).bit_length() - 1
+
+
 def subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

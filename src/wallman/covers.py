@@ -2,8 +2,9 @@
 
 Indexed set families with stage sequences, the group/phi round trip, the
 certificate poset of (centered set, counter) nodes with its strict order,
-rank search by a bottom-up table over member bitsets, and the two
-clopen-style refinements.
+rank search by a bottom-up table over bitset successor sets (one bit per
+centered set, one AND or OR per member), and the two clopen-style
+refinements.
 
 Node validity (centeredness) is read over the ground set: the intersection
 of the chosen members must be nonempty, the empty choice being vacuously
@@ -17,7 +18,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .bits import bit, iter_bits, mask_of
+from .bits import bit, iter_bits, lowest_bit, mask_of, transpose
+from .caps import CENTERED_ENUM_CAP as _CENTERED_ENUM_CAP
 from .errors import (
     CapTooSmallWarning,
     EmptyPhiValue,
@@ -25,8 +27,6 @@ from .errors import (
     MissingStages,
     TooLarge,
 )
-
-_CENTERED_ENUM_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -362,26 +362,51 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
     order, so minimal increments are dominant.  A step s -> t at counter k
     depends on k only through its level, the number of groups of phi(u)
     below k, so the centered sets (enumerated once, in centered_subsets
-    order) get one successor list per level, shared by every cap.
+    order) get one successor set per level, shared by every cap.
+
+    Successor sets are bitsets over the indices of the centered sets.
+    With holders[v] the sets that hold member v, the sets t ⊇ s are the
+    intersection of holders[v] over v in s, all sets when s is empty:
+    level 0 asks for no group.  Level l keeps those of level l - 1 whose
+    fresh part t∖s meets hit[l - 1]; as t ⊇ s, t∖s meets hit[l - 1] iff
+    t meets hit[l - 1]∖s, that is iff t lies in the union of holders[v]
+    over v in hit[l - 1]∖s.  So a set costs one AND or OR per member at
+    each level, where a scan of pairs of sets costs one order step per
+    pair.
+
     rank_at fills the table of longest chains from k = cap down to 0; of
     equally long chains the first in centered_subsets order is kept, both
-    for a node's successor and for the start node.  The start is read off
-    the row k = 0: a chain from (s, k + 1) moved one counter down is a
-    chain from (s, k), since a lower counter asks for no more groups, so
-    each row is at least the next one and the first longest start in
-    (set, counter) order has counter 0.
+    for a node's successor and for the start node.  Each row is bucketed
+    by length, one bitset of sets per length.  A node's successor is the
+    lowest set bit of its successor set within the longest bucket that
+    set meets: that bucket holds exactly its longest successors, and the
+    lowest bit among them is the first of them in index order, the one
+    that max over its successors listed in index order returns.  The
+    start is read off the row k = 0: a chain from (s, k + 1) moved one
+    counter down is a chain from (s, k), since a lower counter asks for
+    no more groups, so each row is at least the next one and the first
+    longest start in (set, counter) order has counter 0.
     """
     pos, need, hit = _order_masks(F, phi, u, mode)
     sets = [s for s, _ in centered_subsets(F)]
     masks = [mask_of(pos[v] for v in s) for s in sets]
-    # level 0 asks for no group, and _step(s, t, ()) is s ⊆ t
-    succ = [[[j for j, t in enumerate(masks) if not s & ~t] for s in masks]]
-    # each further level asks the fresh part to hit one more group
+    holders = transpose(masks, len(pos))
+    everything = bit(len(sets)) - 1
+    level = []
+    for s in masks:
+        out = everything
+        for v in iter_bits(s):
+            out &= holders[v]
+        level.append(out)
+    succ = [level]
     for h in hit:
-        succ.append([
-            [j for j in out if _step(s, masks[j], (h,))]
-            for s, out in zip(masks, succ[-1])
-        ])
+        level = []
+        for s, out in zip(masks, succ[-1]):
+            reach = 0
+            for v in iter_bits(h & ~s):
+                reach |= holders[v]
+            level.append(out & reach)
+        succ.append(level)
 
     def rank_at(cap: int):
         if cap < 0:
@@ -389,12 +414,21 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
         lengths = [[1] * len(sets)]  # lengths[i][x]: from (sets[x], cap - i)
         choices = [[None] * len(sets)]
         for k in range(cap - 1, -1, -1):
-            nxt = lengths[-1]
-            pick = [
-                max(out, key=nxt.__getitem__, default=None)
-                for out in succ[bisect_left(need, k)]
-            ]
-            lengths.append([1 if j is None else nxt[j] + 1 for j in pick])
+            buckets: dict = {}
+            for j, n in enumerate(lengths[-1]):
+                buckets[n] = buckets.get(n, 0) | 1 << j
+            longest_first = sorted(buckets.items(), reverse=True)
+            row, pick = [], []
+            for out in succ[bisect_left(need, k)]:
+                n, x = 0, None  # no successor: the chain ends here
+                if out:  # the buckets cover every set, so out meets one
+                    for n, bucket in longest_first:
+                        if out & bucket:
+                            x = lowest_bit(out & bucket)
+                            break
+                row.append(n + 1)
+                pick.append(x)
+            lengths.append(row)
             choices.append(pick)
         length = max(lengths[-1])
         x, k, chain = lengths[-1].index(length), 0, []

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .bits import iter_bits, mask_of, subset, union_closure
+from .caps import EXHAUSTIVE_CAP
 from .errors import (
     DegenerateLattice,
     ElementInFilter,
@@ -31,8 +32,6 @@ from .lattice import (
     is_distributive,
     join_primes,
 )
-
-EXHAUSTIVE_CAP = 18
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,11 @@ from .bits import (
     transpose,
     union_closure,
 )
+from .caps import MAX_BOOLEAN_ATOMS, MAX_FAMILY_MEMBERS, MAX_POSET_POINTS
 from .covers import CoverFamily, Member, is_T0_separating
 from .errors import SizeCap
 from .homs import LatticeHom
 from .lattice import FiniteLattice, atoms
-
-MAX_POSET_POINTS = 16
-MAX_BOOLEAN_ATOMS = 10
-MAX_FAMILY_MEMBERS = 14
 
 
 def random_poset(n_points: int, seed: int, edge_prob: float = 0.3):

@@ -54,6 +54,7 @@ from .bits import (
     subset,
     transpose,
 )
+from .caps import SIZE_CAP
 from .errors import (
     NoBounds,
     NotALattice,
@@ -62,8 +63,6 @@ from .errors import (
     OracleDisagreement,
     TooLarge,
 )
-
-SIZE_CAP = 4096
 
 
 class FiniteLattice:

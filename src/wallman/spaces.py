@@ -100,21 +100,29 @@ def build_space(L: FiniteLattice, kind: str = "ultra") -> WallmanSpace:
     lattice.join_irreducibles and lattice.atoms), and a key holds m_x iff
     it holds x, so the point ↑m_x has the members holds_x, with no order
     rows.
+
+    Each space is built once per lattice and kind and kept in the
+    lattice's memo: a lattice is immutable and a space is frozen, so the
+    entries that need ult(L) or pf(L) of one lattice share one object.
     """
     if kind not in ("prime", "ultra"):
         raise ValueError(f"unknown space kind {kind!r}")
     if L.bottom == L.top:
         raise DegenerateLattice("filters need 0 != 1")
-    gens = join_primes(L) if kind == "prime" else atoms(L)
-    if L.keys is not None:
-        up_of = dict(zip(_point_meets(L), _point_holds(L)))
-        ups = [up_of[L.keys[g]] for g in gens]
-    else:
-        ups = [L.up_mask(g) for g in gens]
-    points = tuple(FilterSet(L, u, kind=kind) for u in ups)
-    a_plus = tuple(transpose(ups, L.n))
-    closures = tuple(a_plus[g] for g in gens)
-    return WallmanSpace(L, kind, points, a_plus, closures)
+
+    def compute():
+        gens = join_primes(L) if kind == "prime" else atoms(L)
+        if L.keys is not None:
+            up_of = dict(zip(_point_meets(L), _point_holds(L)))
+            ups = [up_of[L.keys[g]] for g in gens]
+        else:
+            ups = [L.up_mask(g) for g in gens]
+        points = tuple(FilterSet(L, u, kind=kind) for u in ups)
+        a_plus = tuple(transpose(ups, L.n))
+        closures = tuple(a_plus[g] for g in gens)
+        return WallmanSpace(L, kind, points, a_plus, closures)
+
+    return L._memo(("space", kind), compute)
 
 
 def separation_axioms(S: WallmanSpace) -> SeparationReport:

@@ -5,15 +5,19 @@ import random
 import subprocess
 import sys
 import warnings
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallman import gen
-from wallman.bits import iter_bits
+from wallman.bits import iter_bits, mask_of
 from wallman.covers import (
     _CENTERED_ENUM_CAP,
+    _chain_search,
+    _order_masks,
+    _step,
     CapTooSmallWarning,
     CenteredRankReport,
     CoverFamily,
@@ -611,6 +615,46 @@ def ref_max_increasing_chain(
     return length, chain
 
 
+def ref_chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
+    """_chain_search as it stood with successor lists: one _step per pair
+    of centered sets at each level, and max over each list, in index
+    order, for a node's successor."""
+    pos, need, hit = _order_masks(F, phi, u, mode)
+    sets = [s for s, _ in centered_subsets(F)]
+    masks = [mask_of(pos[v] for v in s) for s in sets]
+    # level 0 asks for no group, and _step(s, t, ()) is s ⊆ t
+    succ = [[[j for j, t in enumerate(masks) if not s & ~t] for s in masks]]
+    # each further level asks the fresh part to hit one more group
+    for h in hit:
+        succ.append([
+            [j for j in out if _step(s, masks[j], (h,))]
+            for s, out in zip(masks, succ[-1])
+        ])
+
+    def rank_at(cap: int):
+        if cap < 0:
+            return 0, ()
+        lengths = [[1] * len(sets)]  # lengths[i][x]: from (sets[x], cap - i)
+        choices = [[None] * len(sets)]
+        for k in range(cap - 1, -1, -1):
+            nxt = lengths[-1]
+            pick = [
+                max(out, key=nxt.__getitem__, default=None)
+                for out in succ[bisect_left(need, k)]
+            ]
+            lengths.append([1 if j is None else nxt[j] + 1 for j in pick])
+            choices.append(pick)
+        length = max(lengths[-1])
+        x, k, chain = lengths[-1].index(length), 0, []
+        while x is not None:
+            chain.append((sets[x], k))
+            x = choices[cap - k][x]
+            k += 1
+        return length, tuple(chain)
+
+    return rank_at
+
+
 def _with_warnings(fn, *args):
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
@@ -667,6 +711,57 @@ def test_rank_search_matches_reference_extra_groups(seed):
     _assert_search_matches_reference(
         F, _extra_groups(phi_from_witness(F), seed)
     )
+
+
+def _assert_chain_search_matches_list_version(F, phi, seed) -> None:
+    """For one member u of F, a different one from seed to seed, length
+    and chain agree with ref_chain_search at every cap from 0 to
+    max(phi(u)) + |members| + 2, in both modes."""
+    ids = sorted(F.by_id())
+    u = ids[seed % len(ids)]
+    last = max(phi[u]) + len(ids) + 2
+    for mode in ("membership", "equality"):
+        got = _chain_search(F, phi, u, mode)
+        want = ref_chain_search(F, phi, u, mode)
+        for cap in range(last + 1):
+            assert got(cap) == want(cap), (seed, u, mode, cap)
+
+
+def _with_twins(F: CoverFamily, seed: int) -> CoverFamily:
+    """F with one or two members copied under new ids, in one or two
+    groups: equal point sets give equally long chains through different
+    sets, so the searches must break the ties alike."""
+    rng = random.Random(seed)
+    ids = sorted(F.by_id())
+    twins = [
+        Member(f"{m.id}~", m.points, g, m.stages)
+        for v in rng.sample(ids, min(len(ids), rng.randint(1, 2)))
+        for m in [F.by_id()[v]]
+        for g in sorted({m.group, rng.randrange(4)})
+    ]
+    return CoverFamily(F.ground, F.members + tuple(twins))
+
+
+# 400 families of 4-8 members, in runs of 50 seeds
+@pytest.mark.parametrize("first", range(0, 400, 50))
+def test_chain_search_matches_list_version(first):
+    for seed in range(first, first + 50):
+        F = gen.random_staged_family(4 + seed % 5, seed)
+        _assert_chain_search_matches_list_version(F, phi_from_witness(F), seed)
+
+
+def test_chain_search_matches_list_version_extra_groups():
+    for seed in range(400, 500):
+        F = gen.random_staged_family(4 + seed % 5, seed)
+        phi = _extra_groups(phi_from_witness(F), seed)
+        _assert_chain_search_matches_list_version(F, phi, seed)
+
+
+def test_chain_search_matches_list_version_twins():
+    for seed in range(500, 600):
+        T = _with_twins(gen.random_staged_family(4 + seed % 3, seed), seed)
+        assert len({m.points for m in T.by_id().values()}) < len(T.by_id())
+        _assert_chain_search_matches_list_version(T, phi_from_witness(T), seed)
 
 
 def test_rank_search_input_errors():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_lattice import closure_system_lattices
 from test_spaces import oracle_lattices, ref_closed_family
 
-from wallman import cli, gen, homs, io
+from wallman import cli, gen, homs, io, spaces
 from wallman.bits import mask_of, subset
 from wallman.errors import (
     NonUniqueExtension,
@@ -369,6 +369,40 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
         assert cli.main(["hom", str(path), *flags]) == 0, flags
         capsys.readouterr()
         assert len(verified) == count, flags
+
+
+def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
+    """build_space keeps each space in its lattice's memo.  `wallman hom`
+    with --induced, --separative, --equivalence and --laws on the
+    identity of powerset2 asks for ult(·) 7 times over 3 lattice objects
+    (ult(K) and ult(L) twice, then ult(K), ult(L) and ult(M)) and builds
+    each of the 3 spaces once."""
+    calls, built = [], []
+    build, space = homs.build_space, spaces.WallmanSpace
+    monkeypatch.setattr(
+        homs, "build_space", lambda L, kind: calls.append(L) or build(L, kind)
+    )
+    monkeypatch.setattr(
+        spaces, "WallmanSpace", lambda L, *rest: built.append(L) or space(L, *rest)
+    )
+    names = ["{}", "{0}", "{1}", "{0,1}"]
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({
+        "source": "powerset2",
+        "target": "powerset2",
+        "map": [[nm, nm] for nm in names],
+    }))
+    flags = ["--induced", "--separative", "--equivalence", "--laws", str(path)]
+    assert cli.main(["hom", str(path), *flags]) == 0
+    capsys.readouterr()
+    assert len(calls) == 7
+    assert len(built) == 3
+    assert {id(L) for L in built} == {id(L) for L in calls}
+
+    L = gen.boolean_algebra(2)
+    assert build_space(L, "ultra") is build_space(L, "ultra")
+    assert build_space(L, "prime") is not build_space(L, "ultra")
+    assert build_space(L, "prime").kind == "prime"
 
 
 def test_functor_laws_names_the_bad_input(powerset3):

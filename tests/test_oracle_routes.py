@@ -14,9 +14,10 @@ Each public hom entry verifies its input once, through _require_hom, which
 reads the verdict cached in LatticeHom.law, so the entries may call each
 other and a hom object is verified once in all; cli.py names no private
 function of another module.  The centered enumeration _centered serves
-the chain search only.  On a keyed lattice atoms,
-is_boolean, is_separative, is_normal and build_space read its ground
-points and reach none of the order-row and mask helpers.
+the chain search only, and the order step _step serves gulko_lt only: the
+chain search makes no pairwise scan of centered sets.  On a keyed lattice
+atoms, is_boolean, is_separative, is_normal and build_space read its
+ground points and reach none of the order-row and mask helpers.
 
 The refinement flags and alexandrov's onto map hold by construction: the
 refinement reaches none of the scans that used to measure its flags, and
@@ -141,6 +142,16 @@ def test_centered_enumeration_only_in_centered_subsets():
     calls = calls_to("_centered")
     assert {(module, fn) for module, fn, _ in calls} == {
         ("covers.py", "centered_subsets")
+    }
+
+
+def test_order_step_only_in_gulko_lt():
+    """The rank search reads its successors off bitsets of centered sets,
+    so the order step between two member sets serves gulko_lt alone and
+    no pairwise scan of centered sets comes back."""
+    calls = calls_to("_step")
+    assert {(module, fn) for module, fn, _ in calls} == {
+        ("covers.py", "gulko_lt")
     }
 
 
