@@ -17,7 +17,7 @@ from wallman.spaces import theorem_suite
 def flags(L) -> str:
     marks = [
         ("D", is_distributive(L)[0]),
-        ("N", is_normal(L, require_distributive=False)[0]),
+        ("N", is_normal(L)[0]),
         ("S", is_separative(L)[0]),
         ("B", is_boolean(L)),
     ]

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
+    _generator_ups,
     atoms,
     is_distributive,
     join_primes,
@@ -41,9 +42,6 @@ class FilterSet:
     lattice: FiniteLattice
     members: int
     kind: str = "unclassified"
-
-    def element_ids(self) -> tuple:
-        return tuple(iter_bits(self.members))
 
     def element_names(self) -> tuple:
         names = self.lattice.names
@@ -220,8 +218,9 @@ def enumerate_filters(
       prime by the one pass over pairs of _non_prime_generators, which
       names every ↑c that some pair a, b outside it joins into it.
     - fast requires verified distributivity and reads the generators off
-      the atoms (ultra) or the memoized join-primes (prime), as
-      build_space does.
+      the atoms (ultra) or the memoized join-primes (prime), with their
+      up-rows from lattice._generator_ups, as build_space does; a keyed
+      lattice needs no order rows for either class.
     - exhaustive scans all upward-closed subsets with the definitional
       filter, prime and maximality checks, for |L| <= EXHAUSTIVE_CAP.
     """
@@ -234,16 +233,11 @@ def enumerate_filters(
         dist, wit = is_distributive(L)
         if not dist:
             raise NotDistributive("fast path needs distributivity", witness=wit)
-        if kind == "ultra":
-            gens = atoms(L)
-        elif kind == "prime":
-            gens = join_primes(L)
-        else:
-            gens = [a for a in range(L.n) if a != L.bottom]
-        tag = "filter" if kind == "all" else kind
-        return [
-            FilterSet(L, L.up_mask(a), kind=tag) for a in sorted(gens)
-        ]
+        if kind == "all":
+            ups = [L.up_mask(a) for a in range(L.n) if a != L.bottom]
+            return [FilterSet(L, u, kind="filter") for u in ups]
+        gens = atoms(L) if kind == "ultra" else join_primes(L)
+        return [FilterSet(L, u, kind=kind) for u in _generator_ups(L, gens)]
 
     if strategy == "brute":
         failing = _non_prime_generators(L) if kind == "prime" else 0
@@ -287,11 +281,11 @@ def enumerate_filters(
 def ultrafilter_extensions(L: FiniteLattice, F) -> list:
     """The ultrafilters holding F: the ↑t for the atoms t (the argument is
     in spaces.build_space), in generator-id order as the brute
-    enumeration lists them."""
+    enumeration lists them, with the ↑t from lattice._generator_ups."""
     if L.bottom == L.top:
         raise DegenerateLattice("filters need 0 != 1")
     members = _members_of(F)
-    ups = (L.up_mask(t) for t in atoms(L))
+    ups = _generator_ups(L, atoms(L))
     return [FilterSet(L, u, kind="ultra") for u in ups if subset(members, u)]
 
 

@@ -23,7 +23,7 @@ from .caps import MAX_BOOLEAN_ATOMS, MAX_FAMILY_MEMBERS, MAX_POSET_POINTS
 from .covers import CoverFamily, Member, is_T0_separating
 from .errors import SizeCap
 from .homs import LatticeHom
-from .lattice import FiniteLattice, atoms
+from .lattice import FiniteLattice, atoms, powerset_lattice
 
 
 def random_poset(n_points: int, seed: int, edge_prob: float = 0.3):
@@ -66,9 +66,7 @@ def random_downset_lattice(
 def boolean_algebra(k_atoms: int, name: Optional[str] = None) -> FiniteLattice:
     if not 0 <= k_atoms <= MAX_BOOLEAN_ATOMS:
         raise SizeCap(f"atom count must be in 0..{MAX_BOOLEAN_ATOMS}, got {k_atoms}")
-    return FiniteLattice.from_keys(
-        range(1 << k_atoms), name=name or f"B{k_atoms}", verify=False
-    )
+    return powerset_lattice(k_atoms, name=name or f"B{k_atoms}")
 
 
 def random_boolean_hom(

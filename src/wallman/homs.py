@@ -24,6 +24,7 @@ from .lattice import (
     is_normal,
     is_separative,
     join_primes,
+    powerset_lattice,
 )
 from .spaces import WallmanSpace, build_space
 
@@ -133,7 +134,7 @@ def _require_hom(h: LatticeHom) -> None:
 def _require_normal(*sides) -> None:
     """Each (label, lattice) pair is normal, else NotNormal naming it."""
     for lab, side in sides:
-        norm, wit = is_normal(side, require_distributive=False)
+        norm, wit = is_normal(side)
         if not norm:
             raise NotNormal(f"{lab} lattice not normal, witness {wit}")
 
@@ -148,9 +149,9 @@ def induced_map(h: LatticeHom) -> SpaceMap:
     return _induced(h)
 
 
-def _induced(h: LatticeHom, ult_l=None, ult_k=None) -> SpaceMap:
-    """ult(h) for a verified h: K -> L, between ult_l = ult(L) and
-    ult_k = ult(K), built here unless given.  The image of p is the one
+def _induced(h: LatticeHom) -> SpaceMap:
+    """ult(h) for a verified h: K -> L, between ult(L) and ult(K), each
+    kept in its lattice's memo by build_space.  The image of p is the one
     point of ult(K) holding h⁻¹(p): the points are all the ultrafilters
     (see build_space).  Neither lattice need be normal; a preimage with
     no or several ultrafilters above it raises NonUniqueExtension.
@@ -162,8 +163,8 @@ def _induced(h: LatticeHom, ult_l=None, ult_k=None) -> SpaceMap:
     SpaceMap.is_continuous), and every point map out of a space whose
     closures are singletons is monotone.
     """
-    ult_l = ult_l or build_space(h.target, "ultra")
-    ult_k = ult_k or build_space(h.source, "ultra")
+    ult_l = build_space(h.target, "ultra")
+    ult_k = build_space(h.source, "ultra")
     pm = []
     for p in ult_l.points:
         pre = h.preimage_filter(p)
@@ -186,23 +187,23 @@ def is_separative_hom(h: LatticeHom) -> tuple:
     For each a the b that fail are those disjoint from h(a) and below no
     h(c) with c disjoint from a: disj_L[h(a)] minus the union of ↓h(c)
     over c in disj_K[a].  The first failing a with its lowest such b is
-    the first pair of the definitional (a, b) scan.  The masks are read
-    by meets and comparisons, L's only at the images: n_K² + 2·|h(K)|·n_L
-    lookups where the scan made up to n_K²·n_L, and no order rows, so
-    neither lattice is held to SIZE_CAP.
+    the first pair of the definitional (a, b) scan.  The disjointness
+    masks of both lattices come from _disjoint_masks, with no meet, and
+    the ↓h(c) from |h(K)|·n_L comparisons, where the scan made up to
+    n_K²·n_L lookups; a keyed lattice reads no order rows, so neither
+    lattice is held to SIZE_CAP.
     """
     _require_hom(h)
-    K, L = h.source, h.target
-    below, disj_l = {}, {}
-    for y in set(h.map):
-        below[y] = mask_of(b for b in range(L.n) if L.leq(b, y))
-        disj_l[y] = mask_of(b for b in range(L.n) if L.meet(y, b) == L.bottom)
+    K, L, f = h.source, h.target, h.map
+    disj_k, disj_l = _disjoint_masks(K), _disjoint_masks(L)
+    below = {
+        y: mask_of(b for b in range(L.n) if L.leq(b, y)) for y in set(f)
+    }
     for a in range(K.n):
         covered = 0
-        for c in range(K.n):
-            if K.meet(a, c) == K.bottom:
-                covered |= below[h(c)]
-        bad = disj_l[h(a)] & ~covered
+        for c in iter_bits(disj_k[a]):
+            covered |= below[f[c]]
+        bad = disj_l[f[a]] & ~covered
         if bad:
             return (False, (a, (bad & -bad).bit_length() - 1))
     return (True, None)
@@ -224,15 +225,15 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
     Hypotheses: both lattices normal and separative (finite scale forces
     Boolean).  With unchecked=True the three conditions are evaluated
     without asserting their equivalence.
-    Each space is built once; h⁻¹(p) is an ultrafilter iff it is a point
-    of ult(K).  A NonUniqueExtension from _induced makes the preimage law
-    false.  The call to is_separative_hom re-reads h.law, so h is still
-    verified once.
+    Each space is built once per lattice (build_space keeps it); h⁻¹(p)
+    is an ultrafilter iff it is a point of ult(K).  A NonUniqueExtension
+    from _induced makes the preimage law false.  The call to
+    is_separative_hom re-reads h.law, so h is still verified once.
     """
     _require_hom(h)
     failed = []
     for side, lab in ((h.source, "source"), (h.target, "target")):
-        if not is_normal(side, require_distributive=False)[0]:
+        if not is_normal(side)[0]:
             failed.append(f"{lab}-normal")
         if not is_separative(side)[0]:
             failed.append(f"{lab}-separative")
@@ -249,7 +250,7 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
         h.preimage_filter(p) in points_k for p in ult_l.points
     )
     try:
-        sm = _induced(h, ult_l, ult_k)
+        sm = _induced(h)
     except NonUniqueExtension:
         law = False
     else:
@@ -275,20 +276,21 @@ def functor_laws(g: LatticeHom, h: LatticeHom) -> bool:
 
     Only g and h are verified: g∘h and id_K are homs by construction, as
     h and then g preserve 0, 1, ∧ and ∨, and so does the identity.  Each
-    of ult(K), ult(L), ult(M) is built once and shared by the four maps.
+    of ult(K), ult(L), ult(M) is built once (build_space keeps it) and
+    shared by the four maps: compose has checked that g's source equals
+    h.target, so g is read over h.target even when it holds a copy.
     """
     gh = compose(g, h)
     for f in (g, h):
         _require_hom(f)
     K, L, M = h.source, h.target, g.target
     _require_normal(("source", K), ("middle", L), ("target", M))
-    ult_k, ult_l, ult_m = (build_space(X, "ultra") for X in (K, L, M))
-    m_gh = _induced(gh, ult_m, ult_k)
-    m_g = _induced(g, ult_m, ult_l)
-    m_h = _induced(h, ult_l, ult_k)
+    m_gh = _induced(gh)
+    m_g = _induced(LatticeHom(L, M, g.map))
+    m_h = _induced(h)
     composed = tuple(m_h.point_map[i] for i in m_g.point_map)
-    idm = _induced(identity_hom(K), ult_k, ult_k)
-    id_ok = idm.point_map == tuple(range(ult_k.size))
+    idm = _induced(identity_hom(K))
+    id_ok = idm.point_map == tuple(range(idm.target.size))
     return m_gh.point_map == composed and id_ok
 
 
@@ -322,8 +324,8 @@ def image_separates(h: LatticeHom) -> bool:
     the union of disj[c] over them, so the image separates iff for every
     a, disj[a] lies inside that union: at most n_L·|h(K)| mask ORs and no
     meet, where the definitional scan made up to n_L²·|h(K)| lookups.
-    The masks read L's order rows, so a target above SIZE_CAP raises
-    TooLarge.
+    The c >= a are read off L's up-rows, so a target above SIZE_CAP
+    raises TooLarge.
     """
     L = h.target
     disj = _disjoint_masks(L)
@@ -393,9 +395,7 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
     """
     space = build_space(L, "ultra")
     k = space.size
-    B = FiniteLattice.from_keys(
-        range(1 << k), name=f"bool({L.name})" if L.name else "bool", verify=False
-    )
+    B = powerset_lattice(k, name=f"bool({L.name})" if L.name else "bool")
     j = LatticeHom(L, B, space.a_plus)
     if not set(atoms(L)) <= set(join_primes(L)):
         # perfbench/expected.json pins this exception type and text as the

@@ -32,8 +32,10 @@ each argued in its docstring:
 * is_normal: no two points with disjoint m_x share an upper point,
   O(|G|²) key tests; only on failure a pass of O(n·|G|) big-int ORs over
   the holds_x names the witness;
-* build_space (spaces.py): the point generated by m_x has the members
-  holds_x.
+* _generator_ups: the up-row of a join-irreducible m_x is holds_x, so the
+  Wallman spaces (spaces.build_space), the fast prime and ultra filter
+  enumeration and the disjointness masks (_disjoint_masks) read the
+  holds_x of their generators.
 
 None of these needs the order rows, so they answer above SIZE_CAP.
 Element names of a keyed lattice built without names are made from its
@@ -59,7 +61,6 @@ from .errors import (
     NoBounds,
     NotALattice,
     NotAPoset,
-    NotDistributive,
     OracleDisagreement,
     TooLarge,
 )
@@ -580,22 +581,18 @@ def _distributivity_scan(L: FiniteLattice):
     return (True, None)
 
 
-def _avoid_masks(L: FiniteLattice, rows: list, dual: list) -> list:
-    """out[x] = full minus the union of rows[e] over the e in dual[x] whose
-    dual row holds exactly two elements.
+def _generator_ups(L: FiniteLattice, gens) -> list:
+    """The up-rows ↑g of join-irreducible elements g, in the order given.
 
-    With rows = up and dual = down those e are the atoms below x; with
-    rows = down and dual = up, dually, the coatoms above x.
+    On a keyed lattice every join-irreducible, so every atom and every
+    join-prime, is a key m_x (see join_irreducibles), and a key holds m_x
+    iff it holds x, so ↑m_x = holds_x (_point_holds): no order rows.  A
+    table lattice reads its up-rows.
     """
-    full = L.full_mask
-    ends = mask_of(e for e in range(L.n) if popcount(dual[e]) == 2)
-    out = []
-    for d in dual:
-        m = 0
-        for e in iter_bits(d & ends):
-            m |= rows[e]
-        out.append(full & ~m)
-    return out
+    if L.keys is not None:
+        up_of = dict(zip(_point_meets(L), _point_holds(L)))
+        return [up_of[L.keys[g]] for g in gens]
+    return [L.up_mask(g) for g in gens]
 
 
 def _disjoint_masks(L: FiniteLattice) -> list:
@@ -604,12 +601,22 @@ def _disjoint_masks(L: FiniteLattice) -> list:
     Every element above 0 of a finite lattice lies above an atom, so
     c∧b > 0 iff some atom t lies below c∧b, that is below both c and b.
     Hence disj[b] is the full mask minus the union of ↑t over the atoms
-    t <= b: O(n·|atoms|) big-int operations, no meet.
+    t <= b: one transpose of the atoms' up-rows (_generator_ups) names
+    the atoms below each b, then O(n·|atoms|) big-int ORs, no meet and,
+    on a keyed lattice, no order rows.  The 1-element lattice has no
+    atom and gets the full mask, as 0∧0 = 0.
     """
 
     def compute():
-        L.materialize_rows()
-        return _avoid_masks(L, L._up, L._down)
+        ups = _generator_ups(L, atoms(L))
+        full = L.full_mask
+        out = []
+        for below in transpose(ups, L.n):
+            m = 0
+            for i in iter_bits(below):
+                m |= ups[i]
+            out.append(full & ~m)
+        return out
 
     return L._memo("disj", compute)
 
@@ -619,22 +626,32 @@ def _join_to_top_masks(L: FiniteLattice) -> list:
 
     Dually to _disjoint_masks: every element below 1 lies below a coatom,
     so a∨x < 1 iff some coatom lies above both a and x, and cover[a] is
-    the full mask minus the union of ↓c over the coatoms c >= a.
+    the full mask minus the union of ↓c over the coatoms c >= a, the
+    elements whose up-row holds exactly two elements.
     """
 
     def compute():
         L.materialize_rows()
-        return _avoid_masks(L, L._down, L._up)
+        up, down = L._up, L._down
+        full = L.full_mask
+        coatoms = mask_of(c for c in range(L.n) if popcount(up[c]) == 2)
+        out = []
+        for u in up:
+            m = 0
+            for c in iter_bits(u & coatoms):
+                m |= down[c]
+            out.append(full & ~m)
+        return out
 
     return L._memo("jointop", compute)
 
 
-def is_normal(L: FiniteLattice, require_distributive: bool = True):
+def is_normal(L: FiniteLattice):
     """Every disjoint pair a,b admits a1,b1 with a1∧b = 0 = a∧b1, a1∨b1 = 1.
 
-    Distributivity is a convention of the source notion; by default its
-    failure raises NotDistributive, with require_distributive=False the
-    bare predicate is evaluated anyway.  Returns (flag, witness_pair).
+    Distributivity is a convention of the source notion, not a condition
+    of this predicate: the bare predicate is evaluated on any lattice.
+    Returns (flag, witness_pair).
 
     a1∨b1 = 1 is symmetric in a1 and b1, so the a1 that work for a (some
     b1 with a∧b1 = 0 and a1∨b1 = 1) form R[a], the union of cover[b1]
@@ -660,11 +677,6 @@ def is_normal(L: FiniteLattice, require_distributive: bool = True):
     D_b ∩ ↓↑D_a ≠ ∅, ⋃{holds_y : y ∈ ↓↑D_a}; the lowest b >= a in both
     is the first failing pair of the scan above.  O(n·|G|) big-int ORs.
     """
-    dist, wit = is_distributive(L)
-    if require_distributive and not dist:
-        raise NotDistributive(
-            "normality is defined on distributive lattices", witness=wit
-        )
 
     def compute():
         if L.keys is not None:
@@ -812,7 +824,7 @@ class LatticeReport:
 
 def lattice_report(L: FiniteLattice) -> LatticeReport:
     dist, dw = is_distributive(L)
-    norm, nw = is_normal(L, require_distributive=False)
+    norm, nw = is_normal(L)
     sep, sw = is_separative(L)
     witnesses = {}
     if dw is not None:

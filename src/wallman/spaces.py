@@ -23,8 +23,7 @@ from .errors import (
 from .filters import FilterSet, generated_filter, is_ultra
 from .lattice import (
     FiniteLattice,
-    _point_holds,
-    _point_meets,
+    _generator_ups,
     atoms,
     is_boolean,
     is_distributive,
@@ -96,10 +95,9 @@ def build_space(L: FiniteLattice, kind: str = "ultra") -> WallmanSpace:
     so on the prime space it is a lattice homomorphism into the powerset
     of points, and on the ultrafilter space iff every atom is join-prime.
 
-    On a keyed lattice both kinds of generator are keys m_x (see
-    lattice.join_irreducibles and lattice.atoms), and a key holds m_x iff
-    it holds x, so the point ↑m_x has the members holds_x, with no order
-    rows.
+    Both kinds of generator are join-irreducible, so their up-rows come
+    from lattice._generator_ups: on a keyed lattice the point ↑m_x has
+    the members holds_x, with no order rows.
 
     Each space is built once per lattice and kind and kept in the
     lattice's memo: a lattice is immutable and a space is frozen, so the
@@ -112,11 +110,7 @@ def build_space(L: FiniteLattice, kind: str = "ultra") -> WallmanSpace:
 
     def compute():
         gens = join_primes(L) if kind == "prime" else atoms(L)
-        if L.keys is not None:
-            up_of = dict(zip(_point_meets(L), _point_holds(L)))
-            ups = [up_of[L.keys[g]] for g in gens]
-        else:
-            ups = [L.up_mask(g) for g in gens]
+        ups = _generator_ups(L, gens)
         points = tuple(FilterSet(L, u, kind=kind) for u in ups)
         a_plus = tuple(transpose(ups, L.n))
         closures = tuple(a_plus[g] for g in gens)
@@ -205,7 +199,7 @@ def theorem_suite(L: FiniteLattice) -> SuiteReport:
     pf_sep = separation_axioms(pf)
     ult_sep = separation_axioms(ult)
     boolean = is_boolean(L)
-    normal, _ = is_normal(L, require_distributive=False)
+    normal, _ = is_normal(L)
     ult_eq_pf = {p.members for p in ult.points} == {
         p.members for p in pf.points
     }

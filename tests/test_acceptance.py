@@ -117,13 +117,13 @@ def test_criterion_03_space_theorem_shadows(corpus):
             }
             ok &= same == is_boolean(L)
             ok &= pf.closed_family() == frozenset(pf.a_plus) | {pf.full}
-        if is_normal(L, require_distributive=False)[0]:
+        if is_normal(L)[0]:
             ok &= ult_sep.hausdorff
     # documented regression: ult(fivepoint) Hausdorff, lattice non-normal
     FP = corpus["fivepoint"]
     regression = (
         separation_axioms(build_space(FP, "ultra")).hausdorff
-        and not is_normal(FP, require_distributive=False)[0]
+        and not is_normal(FP)[0]
     )
     verdict(
         3,

@@ -323,17 +323,17 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
     """A hom object is verified once however many public entries it goes
     through, since each reads the verdict cached in h.law: the five
     one-hom entries and then functor_laws(g, h) verify h once and g once.
-    functor_laws builds ult(K), ult(L) and ult(M) once each.
+    Together they construct ult(K), ult(L) and ult(M) once each.
     `wallman hom` verifies its hom once whatever the flags, and --laws
     its second hom once more."""
     B = [gen.boolean_algebra(k) for k in (3, 2, 2)]
     h = gen.random_boolean_hom(B[0], B[1], 1)
     g = gen.random_boolean_hom(B[1], B[2], 2)
     verified, built = [], []
-    verify, build = homs.verify_hom, homs.build_space
+    verify, space = homs.verify_hom, spaces.WallmanSpace
     monkeypatch.setattr(homs, "verify_hom", lambda f: verified.append(f) or verify(f))
     monkeypatch.setattr(
-        homs, "build_space", lambda L, kind: built.append(L) or build(L, kind)
+        spaces, "WallmanSpace", lambda L, *rest: built.append(L) or space(L, *rest)
     )
     for entry in (
         induced_map,
@@ -344,10 +344,10 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
     ):
         entry(h)
     assert verified == [h]
-    built.clear()
     assert functor_laws(g, h)
     assert verified == [h, g]
-    assert built == [h.source, h.target, g.target]
+    assert len(built) == 3
+    assert {id(L) for L in built} == {id(h.source), id(h.target), id(g.target)}
 
     names = ["{}", "{0}", "{1}", "{0,1}"]
     path = tmp_path / "id.json"
@@ -374,9 +374,10 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
 def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
     """build_space keeps each space in its lattice's memo.  `wallman hom`
     with --induced, --separative, --equivalence and --laws on the
-    identity of powerset2 asks for ult(·) 7 times over 3 lattice objects
-    (ult(K) and ult(L) twice, then ult(K), ult(L) and ult(M)) and builds
-    each of the 3 spaces once."""
+    identity of powerset2 asks for ult(·) 14 times over 3 lattice objects
+    (twice from induced_map, four times from separativity_equivalence,
+    eight times from the four maps of functor_laws) and builds each of
+    the 3 spaces once."""
     calls, built = [], []
     build, space = homs.build_space, spaces.WallmanSpace
     monkeypatch.setattr(
@@ -395,7 +396,7 @@ def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
     flags = ["--induced", "--separative", "--equivalence", "--laws", str(path)]
     assert cli.main(["hom", str(path), *flags]) == 0
     capsys.readouterr()
-    assert len(calls) == 7
+    assert len(calls) == 14
     assert len(built) == 3
     assert {id(L) for L in built} == {id(L) for L in calls}
 

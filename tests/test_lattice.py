@@ -19,10 +19,10 @@ from wallman.errors import (
     NoBounds,
     NotALattice,
     NotAPoset,
-    NotDistributive,
     TooLarge,
     WallmanError,
 )
+from wallman.filters import enumerate_filters, ultrafilter_extensions
 from wallman.homs import alexandrov, compose, identity_hom, image_separates
 from wallman.lattice import (
     SIZE_CAP,
@@ -188,12 +188,11 @@ def test_normal_examples(chain3, fivepoint, powerset3):
     assert is_normal(powerset3)[0]
 
 
-def test_normal_requires_distributivity(n5):
-    with pytest.raises(NotDistributive):
-        is_normal(n5)
-    # the bare predicate is still available
-    flag, _ = is_normal(n5, require_distributive=False)
-    assert isinstance(flag, bool)
+def test_normal_needs_no_distributivity(n5):
+    """is_normal evaluates the bare predicate on a non-distributive
+    lattice, verdict and witness as the pairwise reference has them."""
+    assert not is_distributive(n5)[0]
+    assert is_normal(n5) == ref_is_normal(n5)
 
 
 def test_separative_examples(corpus, chain3, fivepoint):
@@ -449,7 +448,7 @@ def check_predicates(L):
     assert _join_to_top_masks(L) == jointop
     sep = is_separative(L)
     assert sep == ref_is_separative(L)
-    norm = is_normal(L, require_distributive=False)
+    norm = is_normal(L)
     assert norm == ref_is_normal(L)
     assert join_primes(L) == ref_join_primes(L)
     dist = _distributivity_scan(L)[0]
@@ -472,16 +471,17 @@ def test_predicates_match_references_on_closure_systems(L):
 def test_predicates_above_size_cap():
     """A keyed lattice above SIZE_CAP: distributivity, normality,
     separativity, Booleanness, the atoms, the join-irreducibles, the
-    join-primes and both Wallman spaces are read off its ground points and
-    answer at every size, as do generated sublattices.  The disjointness
-    masks need its order rows and raise TooLarge, and with them
-    image_separates."""
+    join-primes, both Wallman spaces, the fast prime and ultra filter
+    enumeration, the ultrafilter extensions and the disjointness masks are
+    read off its ground points and answer at every size, as do generated
+    sublattices.  image_separates reads the order rows and raises
+    TooLarge."""
     P = powerset_lattice(13)
     assert P.n > SIZE_CAP
     assert is_distributive(P) == (True, None)
     singletons = tuple(1 << i for i in range(13))  # ids are keys here
     assert join_irreducibles(P) == join_primes(P) == atoms(P) == singletons
-    assert is_normal(P, require_distributive=False) == (True, None)
+    assert is_normal(P) == (True, None)
     assert is_separative(P) == (True, None)
     assert is_boolean(P)
     ult = build_space(P, "ultra")
@@ -489,8 +489,17 @@ def test_predicates_above_size_cap():
     assert [p.members for p in ult.points] == [
         mask_of(k for k in range(P.n) if k >> i & 1) for i in range(13)
     ]
-    with pytest.raises(TooLarge):
-        _disjoint_masks(P)
+    disj = _disjoint_masks(P)
+    assert len(disj) == P.n
+    for b in (0, 1, 6, 0b1010101010101, P.n - 2, P.top):
+        assert disj[b] == mask_of(c for c in range(P.n) if c & b == 0), b
+    for kind, tag in (("ultra", "ultra"), ("prime", "prime")):
+        found = enumerate_filters(P, kind, "fast")
+        assert [f.members for f in found] == [p.members for p in ult.points]
+        assert {f.kind for f in found} == {tag}
+    (ext,) = ultrafilter_extensions(P, ult.points[5])
+    assert ext.members == ult.points[5].members
+    assert len(ultrafilter_extensions(P, 1 << P.top)) == 13
     with pytest.raises(TooLarge):
         image_separates(identity_hom(P))
     assert P._up is None
@@ -687,17 +696,24 @@ def space_parts(S):
     return [p.members for p in S.points], S.a_plus, S.closures
 
 
+def filter_parts(filters):
+    return [(f.members, f.kind) for f in filters]
+
+
 def alexandrov_parts(res):
     return res.algebra.keys, res.hom.map, res.onto.point_map, res.kernel
 
 
 def test_point_route_matches_the_row_route():
-    """Verdicts, witnesses, atoms, both spaces, the theorem suite and the
-    0-dimensionalization of keyed lattices, read off their points, agree
-    with their table twins, read off the order rows."""
+    """Verdicts, witnesses, atoms, both spaces, the fast prime and ultra
+    filters, the ultrafilter extensions of every point, the disjointness
+    masks, the theorem suite and the 0-dimensionalization of keyed
+    lattices, read off their points, agree with their table twins, read
+    off the order rows; on the first 300 the masks also agree with the
+    pairwise reference."""
     rng = random.Random(14)
     seen = set()
-    for _ in range(2000):
+    for i in range(2000):
         L = FiniteLattice.from_keys(keyed_family(rng))
         T = table_twin(L)
         rep = lattice_report(L)
@@ -707,6 +723,16 @@ def test_point_route_matches_the_row_route():
             assert space_parts(build_space(L, kind)) == space_parts(
                 build_space(T, kind)
             )
+            assert filter_parts(enumerate_filters(L, kind, "fast")) == (
+                filter_parts(enumerate_filters(T, kind, "fast"))
+            )
+        for p in build_space(L, "prime").points:
+            assert filter_parts(ultrafilter_extensions(L, p)) == filter_parts(
+                ultrafilter_extensions(T, p.members)
+            )
+        assert _disjoint_masks(L) == _disjoint_masks(T)
+        if i < 300:
+            assert _disjoint_masks(T) == ref_disjoint_masks(T)
         assert theorem_suite(L) == theorem_suite(T)
         assert alexandrov_parts(alexandrov(L)) == alexandrov_parts(alexandrov(T))
         assert L._up is None
