@@ -2,9 +2,11 @@
 
 Indexed set families with stage sequences, the group/phi round trip, the
 certificate poset of (centered set, counter) nodes with its strict order,
-rank search by a bottom-up table over bitset successor sets (one bit per
-centered set, one AND or OR per member), and the two clopen-style
-refinements.
+rank search over bitset successor sets (one bit per centered set, one AND
+or OR per member), and the two clopen-style refinements.  The search
+answers every counter above max phi(u) in closed form, from each set's
+depth in the last level's strict-superset relation, and fills a bucketed
+table for the max phi(u) + 1 counters below it only.
 
 Node validity (centeredness) is read over the ground set: the intersection
 of the chosen members must be nonempty, the empty choice being vacuously
@@ -18,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .bits import bit, iter_bits, lowest_bit, mask_of, transpose
+from .bits import bit, iter_bits, lowest_bit, mask_of
 from .caps import CENTERED_ENUM_CAP as _CENTERED_ENUM_CAP
 from .errors import (
     CapTooSmallWarning,
@@ -365,60 +367,123 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
     order) get one successor set per level, shared by every cap.
 
     Successor sets are bitsets over the indices of the centered sets.
-    With holders[v] the sets that hold member v, the sets t ⊇ s are the
-    intersection of holders[v] over v in s, all sets when s is empty:
-    level 0 asks for no group.  Level l keeps those of level l - 1 whose
-    fresh part t∖s meets hit[l - 1]; as t ⊇ s, t∖s meets hit[l - 1] iff
-    t meets hit[l - 1]∖s, that is iff t lies in the union of holders[v]
-    over v in hit[l - 1]∖s.  So a set costs one AND or OR per member at
-    each level, where a scan of pairs of sets costs one order step per
-    pair.
+    With holders[v] the sets that hold member v, level 0, which asks for
+    no group, holds the sets t ⊇ s: all sets when s is empty, and
+    otherwise the sets t ⊇ s∖{v} that hold v, for v the largest member
+    of s.  s∖{v} is s's parent in the depth-first enumeration, listed
+    before s, so each set costs one AND.  Level l keeps those of level
+    l - 1 whose fresh part t∖s meets hit[l - 1]; as t ⊇ s, t∖s meets
+    hit[l - 1] iff t meets hit[l - 1]∖s, that is iff t lies in the union
+    of holders[v] over v in hit[l - 1]∖s, a union kept per level for
+    each distinct hit[l - 1]∖s.  So a set costs at most one OR per member
+    at each level, where a scan of pairs of sets costs one order step
+    per pair.
 
-    rank_at fills the table of longest chains from k = cap down to 0; of
-    equally long chains the first in centered_subsets order is kept, both
-    for a node's successor and for the start node.  Each row is bucketed
+    Of equally long chains the first in centered_subsets order is kept,
+    both for a node's successor and for the start node.  The start is
+    read off the row k = 0: a chain from (s, k + 1) moved one counter
+    down is a chain from (s, k), since a lower counter asks for no more
+    groups, so each row is at least the next one and the first longest
+    start in (set, counter) order has counter 0.
+
+    Rows above max phi(u) in closed form.  Every counter k > max phi(u)
+    reads the last level, where each group of phi(u) must be hit, so
+    t∖s ≠ ∅ and every successor is a strict superset.  In the depth-first
+    pop order of centered_subsets a strict superset t of s comes after s:
+    either s is a prefix of t's sorted ids, and t lies in s's subtree, or
+    at the first place the two sorted id lists differ s has the larger
+    id, and of two siblings the larger id is pushed last, popped first,
+    and its whole subtree is popped before the smaller one.  So one pass
+    over the sets in decreasing index order finds depth[s], the longest
+    path from s in the last level's relation (0 when s has no successor),
+    each set's successors being done before it; depth is kept in buckets,
+    one bitset per value, and atleast[h] ORs the buckets from h up.  Then
+    for k > max phi(u), length(s, k) = min(cap - k + 1, 1 + depth[s]),
+    by induction down from k = cap, where every length is 1: a chain of
+    last-level steps can be cut short to fit under the cap, and none is
+    longer than 1 + depth[s].  A node's longest successors are the t with
+    min(cap - k, 1 + depth[t]) = min(cap - k, depth[s]), that is with
+    depth[t] >= min(cap - k - 1, depth[s] - 1), so the successor kept is
+    the lowest bit of succ & atleast[min(cap - k - 1, depth[s] - 1)], the
+    first longest one in index order, as a bucketed row would pick.
+
+    The other rows, k <= max phi(u), are filled as a table of longest
+    chains from the lowest closed-form row down to 0, each row bucketed
     by length, one bitset of sets per length.  A node's successor is the
     lowest set bit of its successor set within the longest bucket that
     set meets: that bucket holds exactly its longest successors, and the
     lowest bit among them is the first of them in index order, the one
-    that max over its successors listed in index order returns.  The
-    start is read off the row k = 0: a chain from (s, k + 1) moved one
-    counter down is a chain from (s, k), since a lower counter asks for
-    no more groups, so each row is at least the next one and the first
-    longest start in (set, counter) order has counter 0.
+    that max over its successors listed in index order returns.  When
+    cap <= max phi(u) every row is of this kind, and the top row, all
+    1s, is min(cap - k + 1, 1 + depth[s]) at k = cap as well.  When
+    phi(u) is empty every row reads level 0, where s is its own first
+    successor at counter k + 1 (s ⊆ s, and its strict supersets come
+    after it): every length is cap - k + 1 and the chain stays at the
+    first set, the empty choice.
     """
     pos, need, hit = _order_masks(F, phi, u, mode)
     sets = [s for s, _ in centered_subsets(F)]
-    masks = [mask_of(pos[v] for v in s) for s in sets]
-    holders = transpose(masks, len(pos))
-    everything = bit(len(sets)) - 1
-    level = []
-    for s in masks:
-        out = everything
-        for v in iter_bits(s):
-            out &= holders[v]
-        level.append(out)
+    if not need:
+
+        def rank_at(cap: int):
+            if cap < 0:
+                return 0, ()
+            return cap + 1, tuple((sets[0], k) for k in range(cap + 1))
+
+        return rank_at
+
+    bit_of = {v: 1 << i for v, i in pos.items()}
+    masks = [sum(map(bit_of.__getitem__, s)) for s in sets]
+    holders = [0] * len(pos)
+    for j, s in enumerate(sets):
+        for v in s:
+            holders[pos[v]] |= 1 << j
+    index = {s: j for j, s in enumerate(masks)}
+    level = [bit(len(sets)) - 1]  # sets[0] is the empty choice
+    for s in masks[1:]:
+        v = s.bit_length() - 1  # the largest member of s
+        level.append(level[index[s ^ 1 << v]] & holders[v])
     succ = [level]
     for h in hit:
-        level = []
+        level, reach_of = [], {}
         for s, out in zip(masks, succ[-1]):
-            reach = 0
-            for v in iter_bits(h & ~s):
-                reach |= holders[v]
+            fresh = h & ~s
+            reach = reach_of.get(fresh)
+            if reach is None:
+                reach = 0
+                for v in iter_bits(fresh):
+                    reach |= holders[v]
+                reach_of[fresh] = reach
             level.append(out & reach)
         succ.append(level)
+
+    last = succ[-1]
+    depth = [0] * len(sets)
+    by_depth = []  # by_depth[h]: the sets of depth h
+    for x in range(len(sets) - 1, -1, -1):
+        out, h = last[x], len(by_depth)
+        while h and not out & by_depth[h - 1]:
+            h -= 1
+        depth[x] = h
+        if h == len(by_depth):
+            by_depth.append(0)
+        by_depth[h] |= 1 << x
+    atleast = by_depth  # atleast[h]: the sets of depth >= h
+    for h in range(len(atleast) - 2, -1, -1):
+        atleast[h] |= atleast[h + 1]
 
     def rank_at(cap: int):
         if cap < 0:
             return 0, ()
-        lengths = [[1] * len(sets)]  # lengths[i][x]: from (sets[x], cap - i)
-        choices = [[None] * len(sets)]
-        for k in range(cap - 1, -1, -1):
+        top = min(cap, need[-1] + 1)  # the lowest closed-form row, or cap
+        row = [min(cap - top + 1, 1 + h) for h in depth]
+        picks = [None] * top  # picks[k][x]: the successor of (sets[x], k)
+        for k in range(top - 1, -1, -1):
             buckets: dict = {}
-            for j, n in enumerate(lengths[-1]):
+            for j, n in enumerate(row):
                 buckets[n] = buckets.get(n, 0) | 1 << j
             longest_first = sorted(buckets.items(), reverse=True)
-            row, pick = [], []
+            lengths, pick = [], []
             for out in succ[bisect_left(need, k)]:
                 n, x = 0, None  # no successor: the chain ends here
                 if out:  # the buckets cover every set, so out meets one
@@ -426,15 +491,22 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
                         if out & bucket:
                             x = lowest_bit(out & bucket)
                             break
-                row.append(n + 1)
+                lengths.append(n + 1)
                 pick.append(x)
-            lengths.append(row)
-            choices.append(pick)
-        length = max(lengths[-1])
-        x, k, chain = lengths[-1].index(length), 0, []
+            row = lengths
+            picks[k] = pick
+        length = max(row)
+        x, k, chain = row.index(length), 0, []
         while x is not None:
             chain.append((sets[x], k))
-            x = choices[cap - k][x]
+            if k < top:
+                x = picks[k][x]
+            elif k < cap and depth[x]:
+                x = lowest_bit(
+                    last[x] & atleast[min(cap - k - 1, depth[x] - 1)]
+                )
+            else:
+                x = None
             k += 1
         return length, tuple(chain)
 

@@ -15,7 +15,7 @@ import os
 from importlib import resources
 from typing import Optional
 
-from .bits import iter_bits, mask_of
+from .bits import iter_bits
 from .covers import CoverFamily, Member
 from .filters import FilterSet
 from .homs import LatticeHom
@@ -161,12 +161,15 @@ def family_from_dict(spec: dict) -> CoverFamily:
     def points(mid: str, field: str, labels) -> int:
         if not isinstance(labels, list):
             raise ValueError(f"member {mid!r}: {field} is not a list")
+        mask = 0
         for p in labels:
-            if str(p) not in pid:
+            i = pid.get(str(p))
+            if i is None:
                 raise ValueError(
                     f"member {mid!r}: {field} names {p!r}, not a ground point"
                 )
-        return mask_of(pid[str(p)] for p in labels)
+            mask |= 1 << i
+        return mask
 
     members = []
     for k, m in enumerate(spec["members"]):

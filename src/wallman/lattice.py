@@ -553,8 +553,9 @@ def is_distributive(L: FiniteLattice):
     (True, None) with no rows, at every size.
 
     When the route finds a failure, the witness is the first failing
-    triple (a, b, c) of the definitional scan, run only then; the scan
-    alone, _distributivity_scan, is the oracle.
+    triple (a, b, c) of the definitional scan, run only then
+    (_distributivity_scan, which skips the a that start no failing
+    triple); the plain triple loop is the oracle in the tests.
     Returns (flag, witness_triple_or_None).
     """
 
@@ -569,10 +570,21 @@ def is_distributive(L: FiniteLattice):
 
 
 def _distributivity_scan(L: FiniteLattice):
-    """Definitional triple scan; (False, first failing (a, b, c)) or (True, None)."""
+    """The first a∧(b∨c) ≠ (a∧b)∨(a∧c) in (a, b, c) order, as (False,
+    (a, b, c)), or (True, None).
+
+    An a comparable to every element starts no failing triple: if a <= b
+    or a <= c, both sides equal a; otherwise b and c lie below a, and both
+    sides equal b∨c.  So such an a is skipped with one test of its rows,
+    and the first failing triple is the plain triple scan's; a chain of
+    length m under M3 costs O(m) row tests there instead of m·n² steps.
+    """
     meet, join = L.meet, L.join
     rng = range(L.n)
+    full = L.full_mask
     for a in rng:
+        if L.up_mask(a) | L.down_mask(a) == full:
+            continue
         for b in rng:
             ab = meet(a, b)
             for c in rng:

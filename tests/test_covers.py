@@ -764,6 +764,36 @@ def test_chain_search_matches_list_version_twins():
         _assert_chain_search_matches_list_version(T, phi_from_witness(T), seed)
 
 
+def test_strict_supersets_follow_their_subsets():
+    """The closed-form rows of _chain_search take their depths in one pass
+    by decreasing index, which needs every strict superset of a centered
+    set to come after it in centered_subsets order."""
+    families = [gen.random_staged_family(4 + s % 5, s) for s in range(400)]
+    families += [
+        _with_twins(gen.random_staged_family(4 + s % 3, s), s)
+        for s in range(500, 600)
+    ]
+    for F in families:
+        sets = [s for s, _ in centered_subsets(F)]
+        for i, s in enumerate(sets):
+            assert all(not s < t for t in sets[:i]), (F, s)
+
+
+def test_empty_phi_value_chain_search():
+    """With phi(u) empty nothing need be hit: every set steps to itself,
+    and the searches agree on the chain up the first set."""
+    for seed in range(20):
+        F = gen.random_staged_family(2 + seed % 5, seed)
+        phi = dict(phi_from_witness(F))
+        u = sorted(F.by_id())[seed % len(F.by_id())]
+        phi[u] = frozenset()
+        for mode in ("membership", "equality"):
+            got = _chain_search(F, phi, u, mode)
+            want = ref_chain_search(F, phi, u, mode)
+            for cap in range(-1, 6):
+                assert got(cap) == want(cap), (seed, mode, cap)
+
+
 def test_rank_search_input_errors():
     F = fam(["x"], ("u", ["x"], 0))
     with pytest.raises(KeyError, match="no phi value for 'zz'"):
@@ -846,6 +876,22 @@ def test_rank_stable_past_the_derived_cap(n, seed):
             # a cap lower
             above = [(result[0], warned) for result, warned in runs[1:]]
             assert above == [(got[0], [])] * 2, (u, mode)
+
+
+@pytest.mark.parametrize("n, seed", _BENCH_SIZED_FAMILIES)
+def test_huge_cap_gives_the_derived_cap_length(n, seed):
+    """Rows above max phi(u) cost nothing per row, so a cap of 10**6 is
+    answered at once, with the derived cap's length and no warning."""
+    F = gen.random_staged_family(n, seed)
+    phi = phi_from_witness(F)
+    for u in sorted(F.by_id()):
+        (length, chain), warned = _with_warnings(
+            max_increasing_chain, F, phi, u, 10**6
+        )
+        assert warned == []
+        assert length == len(chain) == stabilized_rank(F, phi, u)[0]
+        for a, b in zip(chain, chain[1:]):
+            assert gulko_lt(F, a, b, phi, u)
 
 
 def test_ten_member_chains_step_by_step():

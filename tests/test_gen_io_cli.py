@@ -438,6 +438,23 @@ def test_cli_cert_bad_family_file(capsys, tmp_path, raw, message):
     assert code == 2 and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("field, labels, bad", [
+    ("set", ["x", "zz", "yy"], "'zz'"),
+    ("set", [7, "x", "zz"], "7"),
+    ("stages[0]", ["yy", "zz"], "'yy'"),
+])
+def test_family_names_the_first_bad_label(field, labels, bad):
+    """A label list with two faults is reported at its first one."""
+    member = {"id": "u", "set": ["x"]}
+    if field == "set":
+        member["set"] = labels
+    else:
+        member["stages"] = [labels]
+    with pytest.raises(ValueError) as got:
+        io.family_from_dict({"ground": ["x"], "members": [member]})
+    assert str(got.value) == f"member 'u': {field} names {bad}, not a ground point"
+
+
 @pytest.mark.parametrize("raw, message", [
     ({"elements": "ab", "covers": []}, 'lattice field "elements" is not a list'),
     (

@@ -1,5 +1,6 @@
 import json
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -219,16 +220,88 @@ def test_report_witnesses_recheck(n5):
 # -- fast routes against their oracles --------------------------------------
 
 
+def ref_distributivity_scan(L):
+    """The plain triple loop: (False, first failing (a, b, c)) or
+    (True, None)."""
+    meet, join = L.meet, L.join
+    rng = range(L.n)
+    for a in rng:
+        for b in rng:
+            ab = meet(a, b)
+            for c in rng:
+                if meet(a, join(b, c)) != join(ab, meet(a, c)):
+                    return (False, (a, b, c))
+    return (True, None)
+
+
 def test_join_prime_route_matches_scan_on_fixtures(corpus):
     for L in corpus.values():
         for M in (L, opposite(L)):
-            assert is_distributive(M) == _distributivity_scan(M)
+            assert is_distributive(M) == ref_distributivity_scan(M)
 
 
 @given(closure_system_lattices())
 @settings(max_examples=150, deadline=None)
 def test_join_prime_route_matches_scan_on_closure_systems(L):
-    assert is_distributive(L) == _distributivity_scan(L)
+    assert is_distributive(L) == ref_distributivity_scan(L)
+
+
+def fixture_spec(name):
+    """A shipped fixture's lattice file, as parsed JSON."""
+    return json.loads(
+        resources.files("wallman").joinpath(f"fixtures/{name}.json").read_text()
+    )
+
+
+def stacked(parts, seed):
+    """The ordinal sum of the lattice specs and chains in parts, bottom
+    first (an int m is an m-element chain), each part's top covered by the
+    next part's bottom; elements listed in a seeded random order.  A
+    spec lists its bottom first and its top last."""
+    rng = random.Random(seed)
+    names, covers, below = [], [], None
+    for i, part in enumerate(parts):
+        if isinstance(part, int):
+            part_names = [f"c{i}.{j}" for j in range(part)]
+            part_covers = [list(p) for p in zip(part_names, part_names[1:])]
+        else:
+            part_names = [f"{i}.{x}" for x in part["elements"]]
+            part_covers = [[f"{i}.{a}", f"{i}.{b}"] for a, b in part["covers"]]
+        if below is not None:
+            covers.append([below, part_names[0]])
+        names += part_names
+        covers += part_covers
+        below = part_names[-1]
+    rng.shuffle(names)
+    return load_lattice({"elements": names, "covers": covers})
+
+
+def test_witness_scan_matches_the_triple_loop(corpus):
+    """The scan that skips elements comparable to all others finds the
+    plain loop's first failing triple, on the fixtures, their opposites
+    and chains stacked under, over and between M3 and N5."""
+    m3, n5 = fixture_spec("m3"), fixture_spec("n5")
+    lattices = list(corpus.values())
+    lattices += [opposite(L) for L in lattices]
+    shapes = [
+        [9, m3], [m3, 9], [4, n5, 5], [n5, 3, m3], [m3, 2, n5, 6], [1, m3, 1],
+    ]
+    lattices += [stacked(shape, seed) for seed in range(3) for shape in shapes]
+    failing = 0
+    for L in lattices:
+        want = ref_distributivity_scan(L)
+        assert _distributivity_scan(L) == want, L.name
+        failing += not want[0]
+    assert failing >= 3 * len(shapes)  # every stacked lattice fails
+
+
+def test_witness_scan_on_a_long_chain_under_m3():
+    """A 150-element chain under M3: the chain's elements are all
+    skipped, and the witness lies inside M3."""
+    L = stacked([150, fixture_spec("m3")], 0)
+    flag, (a, b, c) = _distributivity_scan(L)
+    assert not flag
+    assert {L.names[x][:2] for x in (a, b, c)} == {"1."}
 
 
 def test_distributivity_exact_above_old_cap():
@@ -451,7 +524,7 @@ def check_predicates(L):
     norm = is_normal(L)
     assert norm == ref_is_normal(L)
     assert join_primes(L) == ref_join_primes(L)
-    dist = _distributivity_scan(L)[0]
+    dist = ref_distributivity_scan(L)[0]
     assert is_boolean(L) == (dist and all(d & j for d, j in zip(disj, jointop)))
     return sep[0], norm[0]
 
@@ -864,7 +937,7 @@ def test_opposite_chain(chain3):
 
 def test_opposite_preserves_distributivity(corpus):
     for L in corpus.values():
-        assert is_distributive(L)[0] == _distributivity_scan(opposite(L))[0]
+        assert is_distributive(L)[0] == ref_distributivity_scan(opposite(L))[0]
 
 
 def test_generated_sublattice_examples(powerset3):
@@ -950,7 +1023,7 @@ def test_lattice_associativity(L):
 @given(small_lattices)
 @settings(max_examples=40, deadline=None)
 def test_downset_lattices_distributive(L):
-    assert _distributivity_scan(L)[0]
+    assert ref_distributivity_scan(L)[0]
 
 
 @given(small_lattices)

@@ -14,8 +14,9 @@ Each public hom entry verifies its input once, through _require_hom, which
 reads the verdict cached in LatticeHom.law, so the entries may call each
 other and a hom object is verified once in all; cli.py names no private
 function of another module.  The centered enumeration _centered serves
-the chain search only, and the order step _step serves gulko_lt only: the
-chain search makes no pairwise scan of centered sets.  On a keyed lattice
+centered_subsets only, which the chain search calls, and the order step
+_step serves gulko_lt only: the chain search makes no pairwise scan of
+centered sets.  On a keyed lattice
 atoms, is_boolean, is_separative, is_normal and build_space read its
 ground points and reach none of the order-row and mask helpers.
 
@@ -142,6 +143,16 @@ def test_centered_enumeration_only_in_centered_subsets():
     calls = calls_to("_centered")
     assert {(module, fn) for module, fn, _ in calls} == {
         ("covers.py", "centered_subsets")
+    }
+
+
+def test_chain_search_enumerates_through_centered_subsets():
+    """The rank search takes its centered sets from centered_subsets,
+    whose results the benchmark's covers.centered_sets counter sums, so
+    that counter includes the search's own enumeration."""
+    calls = calls_to("centered_subsets")
+    assert ("covers.py", "_chain_search") in {
+        (module, fn) for module, fn, _ in calls
     }
 
 
