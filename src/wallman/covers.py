@@ -5,8 +5,9 @@ certificate poset of (centered set, counter) nodes with its strict order,
 rank search over bitset successor sets (one bit per centered set, one AND
 or OR per member), and the two clopen-style refinements.  The search
 answers every counter above max phi(u) in closed form, from each set's
-depth in the last level's strict-superset relation, and fills a bucketed
-table for the max phi(u) + 1 counters below it only.
+depth in the last level's strict-superset relation; at counters up to
+min phi(u) a longest chain stays on its set, and only the counters in
+between fill a bucketed table.
 
 Node validity (centeredness) is read over the ground set: the intersection
 of the chosen members must be nonempty, the empty choice being vacuously
@@ -20,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .bits import bit, iter_bits, lowest_bit, mask_of
+from .bits import bit, iter_bits, lowest_bit, mask_of, transpose
 from .caps import CENTERED_ENUM_CAP as _CENTERED_ENUM_CAP
 from .errors import (
     CapTooSmallWarning,
@@ -367,93 +368,84 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
     order) get one successor set per level, shared by every cap.
 
     Successor sets are bitsets over the indices of the centered sets.
-    With holders[v] the sets that hold member v, level 0, which asks for
-    no group, holds the sets t ⊇ s: all sets when s is empty, and
-    otherwise the sets t ⊇ s∖{v} that hold v, for v the largest member
-    of s.  s∖{v} is s's parent in the depth-first enumeration, listed
-    before s, so each set costs one AND.  Level l keeps those of level
-    l - 1 whose fresh part t∖s meets hit[l - 1]; as t ⊇ s, t∖s meets
-    hit[l - 1] iff t meets hit[l - 1]∖s, that is iff t lies in the union
-    of holders[v] over v in hit[l - 1]∖s, a union kept per level for
-    each distinct hit[l - 1]∖s.  So a set costs at most one OR per member
-    at each level, where a scan of pairs of sets costs one order step
-    per pair.
+    With holders[v] the sets that hold member v, the sets t ⊇ s are the
+    intersection of holders[v] over v in s, all sets when s is empty:
+    level 0 asks for no group.  Level l keeps those of level l - 1 whose
+    fresh part t∖s meets hit[l - 1]; as t ⊇ s, t∖s meets hit[l - 1] iff
+    t meets hit[l - 1]∖s, that is iff t lies in the union of holders[v]
+    over v in hit[l - 1]∖s.  So a set costs one AND or OR per member at
+    each level, where a scan of pairs of sets costs one order step per
+    pair.
 
     Of equally long chains the first in centered_subsets order is kept,
-    both for a node's successor and for the start node.  The start is
-    read off the row k = 0: a chain from (s, k + 1) moved one counter
-    down is a chain from (s, k), since a lower counter asks for no more
-    groups, so each row is at least the next one and the first longest
-    start in (set, counter) order has counter 0.
+    both for a node's successor and for the start node.  In the
+    depth-first pop order of centered_subsets a strict superset t of s
+    comes after s: either s is a prefix of t's sorted ids, and t lies in
+    s's subtree, or at the first place the two sorted id lists differ s
+    has the larger id, and of two siblings the larger id is pushed last,
+    popped first, and its whole subtree is popped before the smaller one.
+    And each row is antimonotone in the set: for t ⊇ s, a chain from
+    (t, k) stepping to (t', k + 1) gives one from (s, k) as long, since
+    s ⊆ t ⊆ t' and t'∖s ⊇ t'∖t meets every group t'∖t meets.  So the
+    start is (sets[0], 0): a chain from (s, k + 1) moved one counter down
+    is a chain from (s, k), since a lower counter asks for no more
+    groups, and the empty choice sets[0], a subset of every set, starts
+    a longest chain in each row.
+
+    Rows at or below min phi(u) stay put.  Such a row reads level 0,
+    where the successors of s are the t ⊇ s, so s is a longest successor
+    of itself and, its strict supersets coming after it, the first one:
+    length(s, k) = 1 + length(s, k + 1), and the chain stays on s.
 
     Rows above max phi(u) in closed form.  Every counter k > max phi(u)
     reads the last level, where each group of phi(u) must be hit, so
-    t∖s ≠ ∅ and every successor is a strict superset.  In the depth-first
-    pop order of centered_subsets a strict superset t of s comes after s:
-    either s is a prefix of t's sorted ids, and t lies in s's subtree, or
-    at the first place the two sorted id lists differ s has the larger
-    id, and of two siblings the larger id is pushed last, popped first,
-    and its whole subtree is popped before the smaller one.  So one pass
-    over the sets in decreasing index order finds depth[s], the longest
-    path from s in the last level's relation (0 when s has no successor),
-    each set's successors being done before it; depth is kept in buckets,
-    one bitset per value, and atleast[h] ORs the buckets from h up.  Then
-    for k > max phi(u), length(s, k) = min(cap - k + 1, 1 + depth[s]),
-    by induction down from k = cap, where every length is 1: a chain of
-    last-level steps can be cut short to fit under the cap, and none is
-    longer than 1 + depth[s].  A node's longest successors are the t with
-    min(cap - k, 1 + depth[t]) = min(cap - k, depth[s]), that is with
-    depth[t] >= min(cap - k - 1, depth[s] - 1), so the successor kept is
-    the lowest bit of succ & atleast[min(cap - k - 1, depth[s] - 1)], the
-    first longest one in index order, as a bucketed row would pick.
+    t∖s ≠ ∅ and every successor is a strict superset, which comes later.
+    So one pass over the sets in decreasing index order finds depth[s],
+    the longest path from s in the last level's relation (0 when s has no
+    successor), each set's successors being done before it; depth is kept
+    in buckets, one bitset per value, and atleast[h] ORs the buckets from
+    h up.  Then for k > max phi(u), length(s, k) = min(cap - k + 1,
+    1 + depth[s]), by induction down from k = cap, where every length is
+    1: a chain of last-level steps can be cut short to fit under the
+    cap, and none is longer than 1 + depth[s].  A node's longest
+    successors are the t with min(cap - k, 1 + depth[t]) = min(cap - k,
+    depth[s]), that is with depth[t] >= min(cap - k - 1, depth[s] - 1),
+    so the successor kept is the lowest bit of
+    succ & atleast[min(cap - k - 1, depth[s] - 1)], the first longest one
+    in index order, as a bucketed row would pick.
 
-    The other rows, k <= max phi(u), are filled as a table of longest
-    chains from the lowest closed-form row down to 0, each row bucketed
-    by length, one bitset of sets per length.  A node's successor is the
-    lowest set bit of its successor set within the longest bucket that
-    set meets: that bucket holds exactly its longest successors, and the
-    lowest bit among them is the first of them in index order, the one
-    that max over its successors listed in index order returns.  When
-    cap <= max phi(u) every row is of this kind, and the top row, all
-    1s, is min(cap - k + 1, 1 + depth[s]) at k = cap as well.  When
-    phi(u) is empty every row reads level 0, where s is its own first
-    successor at counter k + 1 (s ⊆ s, and its strict supersets come
-    after it): every length is cap - k + 1 and the chain stays at the
-    first set, the empty choice.
+    Only the rows strictly between min phi(u) and max phi(u) + 1 are
+    filled as a table of longest chains, from the lowest closed-form row
+    down, each row bucketed by length, one bitset of sets per length.  A
+    node's successor is the lowest set bit of its successor set within
+    the longest bucket that set meets: that bucket holds exactly its
+    longest successors, and the lowest bit among them is the first of
+    them in index order, the one that max over its successors listed in
+    index order returns.  A cap at or below max phi(u) moves the closed
+    form up to its top row, all 1s, which is min(cap - k + 1,
+    1 + depth[s]) at k = cap as well.  When phi(u) is empty every row
+    below the cap stays put, so every length is cap - k + 1 and the chain
+    stays on the first set, the empty choice; depth, read over strict
+    supersets of a last level that is level 0, is then unused.
     """
     pos, need, hit = _order_masks(F, phi, u, mode)
     sets = [s for s, _ in centered_subsets(F)]
-    if not need:
-
-        def rank_at(cap: int):
-            if cap < 0:
-                return 0, ()
-            return cap + 1, tuple((sets[0], k) for k in range(cap + 1))
-
-        return rank_at
-
-    bit_of = {v: 1 << i for v, i in pos.items()}
-    masks = [sum(map(bit_of.__getitem__, s)) for s in sets]
-    holders = [0] * len(pos)
-    for j, s in enumerate(sets):
-        for v in s:
-            holders[pos[v]] |= 1 << j
-    index = {s: j for j, s in enumerate(masks)}
-    level = [bit(len(sets)) - 1]  # sets[0] is the empty choice
-    for s in masks[1:]:
-        v = s.bit_length() - 1  # the largest member of s
-        level.append(level[index[s ^ 1 << v]] & holders[v])
+    masks = [mask_of(pos[v] for v in s) for s in sets]
+    holders = transpose(masks, len(pos))
+    everything = bit(len(sets)) - 1
+    level = []
+    for s in masks:
+        out = everything
+        for v in iter_bits(s):
+            out &= holders[v]
+        level.append(out)
     succ = [level]
     for h in hit:
-        level, reach_of = [], {}
+        level = []
         for s, out in zip(masks, succ[-1]):
-            fresh = h & ~s
-            reach = reach_of.get(fresh)
-            if reach is None:
-                reach = 0
-                for v in iter_bits(fresh):
-                    reach |= holders[v]
-                reach_of[fresh] = reach
+            reach = 0
+            for v in iter_bits(h & ~s):
+                reach |= holders[v]
             level.append(out & reach)
         succ.append(level)
 
@@ -475,10 +467,11 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
     def rank_at(cap: int):
         if cap < 0:
             return 0, ()
-        top = min(cap, need[-1] + 1)  # the lowest closed-form row, or cap
+        top = min(cap, need[-1] + 1) if need else cap  # lowest closed-form row
+        low = min(top, need[0] + 1) if need else top  # rows below stay put
         row = [min(cap - top + 1, 1 + h) for h in depth]
         picks = [None] * top  # picks[k][x]: the successor of (sets[x], k)
-        for k in range(top - 1, -1, -1):
+        for k in range(top - 1, low - 1, -1):
             buckets: dict = {}
             for j, n in enumerate(row):
                 buckets[n] = buckets.get(n, 0) | 1 << j
@@ -495,8 +488,9 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
                 pick.append(x)
             row = lengths
             picks[k] = pick
-        length = max(row)
-        x, k, chain = row.index(length), 0, []
+        length = low + row[0]
+        chain = [(sets[0], k) for k in range(low)]
+        x, k = 0, low
         while x is not None:
             chain.append((sets[x], k))
             if k < top:

@@ -285,6 +285,7 @@ def test_witness_scan_matches_the_triple_loop(corpus):
     lattices += [opposite(L) for L in lattices]
     shapes = [
         [9, m3], [m3, 9], [4, n5, 5], [n5, 3, m3], [m3, 2, n5, 6], [1, m3, 1],
+        [40, m3],
     ]
     lattices += [stacked(shape, seed) for seed in range(3) for shape in shapes]
     failing = 0
@@ -293,15 +294,6 @@ def test_witness_scan_matches_the_triple_loop(corpus):
         assert _distributivity_scan(L) == want, L.name
         failing += not want[0]
     assert failing >= 3 * len(shapes)  # every stacked lattice fails
-
-
-def test_witness_scan_on_a_long_chain_under_m3():
-    """A 150-element chain under M3: the chain's elements are all
-    skipped, and the witness lies inside M3."""
-    L = stacked([150, fixture_spec("m3")], 0)
-    flag, (a, b, c) = _distributivity_scan(L)
-    assert not flag
-    assert {L.names[x][:2] for x in (a, b, c)} == {"1."}
 
 
 def test_distributivity_exact_above_old_cap():
