@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .bits import bit, iter_bits, mask_of, subset
+from .bits import bit, iter_bits, mask_of, subset, transpose
 from .errors import (
     NonUniqueExtension,
     NotAHom,
@@ -20,9 +20,15 @@ from .filters import FilterSet
 from .lattice import (
     FiniteLattice,
     _disjoint_masks,
+    _generator_ups,
+    _order_rows,
+    _point_holds,
+    _point_meets,
     atoms,
+    is_distributive,
     is_normal,
     is_separative,
+    join_irreducibles,
     join_primes,
     powerset_lattice,
 )
@@ -45,6 +51,32 @@ class LatticeHom:
         """verify_hom(self), run once per hom object: a hom is frozen and
         its lattices are immutable, so the verdict cannot change."""
         return verify_hom(self)
+
+    @cached_property
+    def pullbacks(self) -> dict:
+        """{g: h⁻¹(↑g)} for each join-irreducible g of the target, as
+        bitsets of source elements, computed once per hom object for the
+        same reason as law.  These are the columns P_g of verify_hom's
+        dual check, and for the atoms g the preimages of the points of
+        ult(target) (see _induced).
+
+        A keyed target reads them off its points: a key holds m_x iff it
+        holds x, so h⁻¹(↑m_x) = {a : x ∈ key h(a)}, column x of the image
+        keys read as a bit matrix, and the m_x are the join-irreducibles
+        (lattice.join_irreducibles).  A table target reads column g of the
+        down-rows of the images: g <= h(a) iff g ∈ ↓h(a).  Either way one
+        transpose of n_K rows; every entry of the map must be an element
+        id of the target.
+        """
+        L, f = self.target, self.map
+        if L.keys is not None:
+            keys = L.keys
+            cols = transpose([keys[y] for y in f], keys[L.top].bit_length())
+            points = iter_bits(keys[L.top] & ~keys[L.bottom])
+            index = L._key_index
+            return {index[m]: cols[x] for m, x in zip(_point_meets(L), points)}
+        cols = transpose([L.down_mask(y) for y in f], L.n)
+        return {g: cols[g] for g in join_irreducibles(L)}
 
     def preimage_filter(self, p) -> int:
         """Bitset h⁻¹(p) in the source, for p a filter bitset / FilterSet."""
@@ -76,7 +108,35 @@ def compose(g: LatticeHom, h: LatticeHom) -> LatticeHom:
 
 
 def verify_hom(h: LatticeHom) -> tuple:
-    """Definitional check; returns (flag, witness_pair)."""
+    """Is h a lattice homomorphism?  Returns (flag, witness): the size,
+    bottom and top checks, then the first failing pair of the
+    definitional scan, ("meet", a, b) or ("join", a, b) with a < b.
+
+    On a distributive target the law is decided through the dual
+    (Birkhoff duality; Davey & Priestley, Introduction to Lattices and
+    Order, 2nd ed., ch. 5).  Let L be distributive, K any finite lattice
+    and f: K → L with f(0) = 0 and f(1) = 1.  Then f is a homomorphism iff
+    for every join-prime j of L, P_j = f⁻¹(↑j) is a prime filter of K,
+    that is ↑g for a join-prime g of K (the build_space argument).
+    (⇒) ↑j is a prime filter, and the preimage of a prime filter under a
+    homomorphism is one.  (⇐) f(0) = 0 < j keeps 0 out of P_j and
+    f(1) = 1 puts 1 in it.  j <= f(a∧b) iff a∧b ∈ P_j iff a, b ∈ P_j
+    (P_j is a filter) iff j <= f(a)∧f(b); and j <= f(a∨b) iff a ∈ P_j or
+    b ∈ P_j (P_j is prime) iff j <= f(a)∨f(b) (j is join-prime).  In a
+    distributive L the join-primes are the join-irreducibles and every
+    element is the join of those below it, so two elements with the same
+    join-primes below them are equal: f(a∧b) = f(a)∧f(b) and
+    f(a∨b) = f(a)∨f(b).
+
+    The P_j are h.pullbacks, one transpose of n_K rows, and the prime
+    filters of K its generator up-rows (lattice._generator_ups), so the
+    check costs O(n_K·|J(L)|) instead of the n_K²/2 pairs of the scan,
+    with no meet or join and, on keyed lattices, no order rows.  A keyed
+    target is distributive by construction; a table target uses its
+    memoized is_distributive.  On a non-distributive target, on a map
+    entry that is no element id of L, and whenever the dual check fails,
+    the pair scan runs, so the flag and the first witness are the scan's.
+    """
     K, L, f = h.source, h.target, h.map
     if len(f) != K.n:
         return (False, ("size", len(f)))
@@ -84,6 +144,8 @@ def verify_hom(h: LatticeHom) -> tuple:
         return (False, ("bottom", K.bottom))
     if f[K.top] != L.top:
         return (False, ("top", K.top))
+    if _dual_law_holds(h):
+        return (True, None)
     for a in range(K.n):
         for b in range(a + 1, K.n):
             if f[K.meet(a, b)] != L.meet(f[a], f[b]):
@@ -91,6 +153,18 @@ def verify_hom(h: LatticeHom) -> tuple:
             if f[K.join(a, b)] != L.join(f[a], f[b]):
                 return (False, ("join", a, b))
     return (True, None)
+
+
+def _dual_law_holds(h: LatticeHom) -> bool:
+    """The dual check of verify_hom, for an h that keeps the bounds:
+    True only if h is a homomorphism."""
+    K, L, f = h.source, h.target, h.map
+    if min(f) < 0 or max(f) >= L.n:
+        return False
+    if not is_distributive(L)[0]:
+        return False
+    primes = set(_generator_ups(K, join_primes(K)))
+    return all(col in primes for col in h.pullbacks.values())
 
 
 @dataclass(frozen=True)
@@ -151,23 +225,25 @@ def induced_map(h: LatticeHom) -> SpaceMap:
 
 def _induced(h: LatticeHom) -> SpaceMap:
     """ult(h) for a verified h: K -> L, between ult(L) and ult(K), each
-    kept in its lattice's memo by build_space.  The image of p is the one
-    point of ult(K) holding h⁻¹(p): the points are all the ultrafilters
-    (see build_space).  Neither lattice need be normal; a preimage with
-    no or several ultrafilters above it raises NonUniqueExtension.
+    kept in its lattice's memo by build_space.  Point i of ult(L) is ↑tᵢ
+    for the i-th atom tᵢ of L (see build_space), so its preimage h⁻¹(↑tᵢ)
+    is read off h.pullbacks, with no pass over K per point.  Its image is
+    the one point of ult(K) holding that preimage: the points are all the
+    ultrafilters.  Neither lattice need be normal; a preimage with no or
+    several ultrafilters above it raises NonUniqueExtension.
 
-    The map is continuous by construction.  Each point of ult(L) is ↑t
-    for an atom t, and distinct atoms are incomparable, so every closure
-    cl{i} = {i' : tᵢ' <= tᵢ} is {i}.  A map of finite spaces is
-    continuous iff it is monotone for the specialization preorders (see
-    SpaceMap.is_continuous), and every point map out of a space whose
-    closures are singletons is monotone.
+    The map is continuous by construction.  Distinct atoms are
+    incomparable, so every closure cl{i} = {i' : tᵢ' <= tᵢ} is {i}.  A
+    map of finite spaces is continuous iff it is monotone for the
+    specialization preorders (see SpaceMap.is_continuous), and every
+    point map out of a space whose closures are singletons is monotone.
     """
     ult_l = build_space(h.target, "ultra")
     ult_k = build_space(h.source, "ultra")
+    pull = h.pullbacks
     pm = []
-    for p in ult_l.points:
-        pre = h.preimage_filter(p)
+    for t in atoms(h.target):
+        pre = pull[t]
         exts = [
             i for i, u in enumerate(ult_k.points) if subset(pre, u.members)
         ]
@@ -187,23 +263,28 @@ def is_separative_hom(h: LatticeHom) -> tuple:
     For each a the b that fail are those disjoint from h(a) and below no
     h(c) with c disjoint from a: disj_L[h(a)] minus the union of ↓h(c)
     over c in disj_K[a].  The first failing a with its lowest such b is
-    the first pair of the definitional (a, b) scan.  The disjointness
-    masks of both lattices come from _disjoint_masks, with no meet, and
-    the ↓h(c) from |h(K)|·n_L comparisons, where the scan made up to
-    n_K²·n_L lookups; a keyed lattice reads no order rows, so neither
-    lattice is held to SIZE_CAP.
+    the first pair of the definitional (a, b) scan, and the union may
+    stop once it covers disj_L[h(a)]; it takes the c from the highest id
+    down, which on a powerset, where ids are keys, meets the largest c,
+    the complement of a, first.  The disjointness masks of both lattices
+    come from _disjoint_masks, with no meet, and the ↓h(c) from
+    lattice._order_rows, which on a keyed target reads them off its
+    points with no comparison: |h(K)|·|G| big-int ORs, where the scan
+    made up to n_K²·n_L lookups.  So neither lattice is held to SIZE_CAP
+    when it is keyed.
     """
     _require_hom(h)
     K, L, f = h.source, h.target, h.map
     disj_k, disj_l = _disjoint_masks(K), _disjoint_masks(L)
-    below = {
-        y: mask_of(b for b in range(L.n) if L.leq(b, y)) for y in set(f)
-    }
+    ys = list(set(f))
+    below = dict(zip(ys, _order_rows(L, ys)[1]))
     for a in range(K.n):
-        covered = 0
-        for c in iter_bits(disj_k[a]):
-            covered |= below[f[c]]
-        bad = disj_l[f[a]] & ~covered
+        bad = disj_l[f[a]]
+        rest = disj_k[a]
+        while bad and rest:
+            c = rest.bit_length() - 1
+            bad &= ~below[f[c]]
+            rest ^= 1 << c
         if bad:
             return (False, (a, (bad & -bad).bit_length() - 1))
     return (True, None)
@@ -225,10 +306,12 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
     Hypotheses: both lattices normal and separative (finite scale forces
     Boolean).  With unchecked=True the three conditions are evaluated
     without asserting their equivalence.
-    Each space is built once per lattice (build_space keeps it); h⁻¹(p)
-    is an ultrafilter iff it is a point of ult(K).  A NonUniqueExtension
-    from _induced makes the preimage law false.  The call to
-    is_separative_hom re-reads h.law, so h is still verified once.
+    Each space is built once per lattice (build_space keeps it).  The
+    preimage h⁻¹(↑t) of each point ↑t of ult(L), t an atom, is read off
+    h.pullbacks (see _induced), and it is an ultrafilter iff it is a
+    point of ult(K).  A NonUniqueExtension from _induced makes the
+    preimage law false.  The call to is_separative_hom re-reads h.law,
+    so h is still verified once.
     """
     _require_hom(h)
     failed = []
@@ -243,12 +326,9 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
         )
     K, L = h.source, h.target
     sep = is_separative_hom(h)[0]
-    ult_l = build_space(L, "ultra")
     ult_k = build_space(K, "ultra")
     points_k = {u.members for u in ult_k.points}
-    preimages_ultra = all(
-        h.preimage_filter(p) in points_k for p in ult_l.points
-    )
+    preimages_ultra = all(h.pullbacks[t] in points_k for t in atoms(L))
     try:
         sm = _induced(h)
     except NonUniqueExtension:
@@ -322,19 +402,23 @@ def image_separates(h: LatticeHom) -> bool:
     a <= c and c∧b = 0.  With disj[y] the set of elements disjoint from
     y (_disjoint_masks), the b that the c >= a in h(K) serve make up
     the union of disj[c] over them, so the image separates iff for every
-    a, disj[a] lies inside that union: at most n_L·|h(K)| mask ORs and no
-    meet, where the definitional scan made up to n_L²·|h(K)| lookups.
-    The c >= a are read off L's up-rows, so a target above SIZE_CAP
-    raises TooLarge.
+    a, disj[a] lies inside that union, which may stop once it does: at
+    most n_L·|h(K)| mask ORs and no meet, where the definitional scan
+    made up to n_L²·|h(K)| lookups.  The c >= a are ↑a ∩ h(K), read off
+    lattice._order_rows: on a keyed target ↑a is ⋂{holds_x : x ∈
+    key_a∖bottom} with no comparison, so a keyed target answers above
+    SIZE_CAP.
     """
     L = h.target
     disj = _disjoint_masks(L)
     img = mask_of(h.map)
-    for a in range(L.n):
-        served = 0
-        for c in iter_bits(L.up_mask(a) & img):
-            served |= disj[c]
-        if disj[a] & ~served:
+    for a, up in enumerate(_order_rows(L, range(L.n))[0]):
+        need = disj[a]
+        for c in iter_bits(up & img):
+            need &= ~disj[c]
+            if not need:
+                break
+        if need:
             return False
     return True
 
@@ -387,11 +471,15 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
     join-prime (the build_space argument), so that precondition is
     checked instead of the hom law itself.
 
-    Point i of ult(B) is the ultrafilter ↑{i} on the i-th atom of B, and
-    its preimage {a : i ∈ a⁺} = {a : tᵢ <= a} = ↑tᵢ is point i of ult(L).
-    So the onto map is the identity on range(k), a bijection between
-    discrete spaces, continuous and surjective with no ultrafilter
-    extension to chase and nothing left to check.
+    ult(B) is written down, not built: the atoms of B are the keys 2^i,
+    so point i is ↑{i}, whose members are the keys holding i, a⁺ is
+    {i : i ∈ a}, the id a itself, and each closure is {i}.  That is the
+    space build_space(B, "ultra") would make, and it goes into B's memo
+    in its place.  The preimage of its point i under j is
+    {a : i ∈ a⁺} = {a : tᵢ <= a} = ↑tᵢ, point i of ult(L).  So the onto
+    map is the identity on range(k), a bijection between discrete
+    spaces, continuous and surjective with no ultrafilter extension to
+    chase and nothing left to check.
     """
     space = build_space(L, "ultra")
     k = space.size
@@ -402,5 +490,16 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
         # outcome of `stone m3`; an explicit raise keeps it under python -O.
         wit = verify_hom(j)[1]
         raise AssertionError(f"a -> a⁺ failed the homomorphism check: {wit}")
-    onto = SpaceMap(build_space(B, "ultra"), space, tuple(range(k)))
+    # under the tag build_space keeps ult(B) at, so later asks reuse it
+    ult_b = B._memo(("space", "ultra"), lambda: _powerset_ult(B))
+    onto = SpaceMap(ult_b, space, tuple(range(k)))
     return AlexandrovResult(B, j, onto, j.kernel())
+
+
+def _powerset_ult(B: FiniteLattice) -> WallmanSpace:
+    """ult(B) of a powerset_lattice B in closed form (see alexandrov):
+    point i has the members holds_i (_point_holds), a⁺ is the id a and
+    cl{i} is {i}."""
+    points = tuple(FilterSet(B, m, kind="ultra") for m in _point_holds(B))
+    closures = tuple(1 << i for i in range(len(points)))
+    return WallmanSpace(B, "ultra", points, tuple(range(B.n)), closures)

@@ -292,38 +292,13 @@ class FiniteLattice:
         return self._down[a]
 
     def materialize_rows(self) -> None:
-        """Compute and store the full order relation (keyed lattices).
-
-        For each point g of top∖bottom, holds_g (_point_holds) is the set
-        of elements whose key contains g; the points of bottom lie in
-        every key and bound no row.  The up-row of a is the intersection
-        of holds_g over the points g of its key; b <= a iff key b holds no
-        point outside key a, so the down-row of a is the full mask minus
-        the union of holds_g over the other points.  That costs
-        2·n·|ground| big-int operations instead of n² key comparisons and
-        a transpose.
-        """
+        """Compute and store the full order relation (keyed lattices),
+        through _order_rows."""
         if self._up is not None:
             return
         if self.n > SIZE_CAP:
             raise TooLarge("relation rows beyond the size cap")
-        full = self.full_mask
-        ground = list(iter_bits(self.keys[self.top] & ~self.keys[self.bottom]))
-        holds = _point_holds(self)
-        up = []
-        down = []
-        for ka in self.keys:
-            u = full
-            d = 0
-            for g, h in zip(ground, holds):
-                if ka >> g & 1:
-                    u &= h
-                else:
-                    d |= h
-            up.append(u)
-            down.append(full & ~d)
-        self._up = up
-        self._down = down
+        self._up, self._down = _order_rows(self, range(self.n))
 
     # -- conveniences --------------------------------------------------
 
@@ -422,6 +397,42 @@ def _point_holds(L: FiniteLattice) -> list:
         return [cols[x] for x in iter_bits(top & ~keys[L.bottom])]
 
     return L._memo("point_holds", compute)
+
+
+def _order_rows(L: FiniteLattice, ids) -> tuple:
+    """(up-rows, down-rows) of the elements ids, as two lists.
+
+    A lattice with rows reads them.  A keyed lattice reads them off its
+    points, with no SIZE_CAP: for each point g of top∖bottom, holds_g
+    (_point_holds) is the set of elements whose key contains g; the
+    points of bottom lie in every key and bound no row.  The up-row of a
+    is the intersection of holds_g over the points g of its key; b <= a
+    iff key b holds no point outside key a, so the down-row of a is the
+    full mask minus the union of holds_g over the other points.  Each
+    point costs one big-int operation per element, on one side or the
+    other, so both rows of all n elements cost n·|ground| operations
+    instead of n² key comparisons and a transpose.
+    """
+    if L._up is not None:
+        return [L._up[a] for a in ids], [L._down[a] for a in ids]
+    full = L.full_mask
+    keys = L.keys
+    ground = list(iter_bits(keys[L.top] & ~keys[L.bottom]))
+    holds = _point_holds(L)
+    up = []
+    down = []
+    for a in ids:
+        ka = keys[a]
+        u = full
+        d = 0
+        for g, h in zip(ground, holds):
+            if ka >> g & 1:
+                u &= h
+            else:
+                d |= h
+        up.append(u)
+        down.append(full & ~d)
+    return up, down
 
 
 def _point_table(L: FiniteLattice, rows: list) -> dict:

@@ -15,7 +15,6 @@ from wallman.errors import (
     NotComposable,
     OracleDisagreement,
     PreconditionFailed,
-    TooLarge,
 )
 from wallman.filters import enumerate_filters, is_prime
 from wallman.homs import (
@@ -35,8 +34,10 @@ from wallman.homs import (
 )
 from wallman.lattice import (
     SIZE_CAP,
+    FiniteLattice,
     chain_lattice,
     is_boolean,
+    is_distributive,
     join_primes,
     opposite,
     powerset_lattice,
@@ -83,6 +84,143 @@ def test_verify_hom(corpus, quotient):
     )
     flag, wit = verify_hom(bad)
     assert not flag and wit[0] == "meet"
+
+
+def ref_verify_hom(h):
+    """The definitional check: the size, the bounds, then every pair."""
+    K, L, f = h.source, h.target, h.map
+    if len(f) != K.n:
+        return (False, ("size", len(f)))
+    if f[K.bottom] != L.bottom:
+        return (False, ("bottom", K.bottom))
+    if f[K.top] != L.top:
+        return (False, ("top", K.top))
+    for a in range(K.n):
+        for b in range(a + 1, K.n):
+            if f[K.meet(a, b)] != L.meet(f[a], f[b]):
+                return (False, ("meet", a, b))
+            if f[K.join(a, b)] != L.join(f[a], f[b]):
+                return (False, ("join", a, b))
+    return (True, None)
+
+
+def mutated(h, rng):
+    """h with one entry, not a bound, sent elsewhere (h itself when the
+    source has no other element or the target no other image)."""
+    inner = [a for a in range(h.source.n) if a not in (h.source.bottom, h.source.top)]
+    if not inner or h.target.n < 2:
+        return h
+    a = rng.choice(inner)
+    y = rng.choice([y for y in range(h.target.n) if y != h.map[a]])
+    return LatticeHom(h.source, h.target, h.map[:a] + (y,) + h.map[a + 1 :])
+
+
+def renamed_into(h, T):
+    """h with its keyed target replaced by the table lattice T whose
+    element names are the target's key names."""
+    names = h.target.names
+    return LatticeHom(h.source, T, tuple(T.id_of(names[y]) for y in h.map))
+
+
+def monotone_chain_maps(j, k, rng, count):
+    """Bounds-keeping monotone maps chain j -> chain k, homs between
+    chains, each with a mutated twin."""
+    out = []
+    for _ in range(count):
+        inner = sorted(rng.randrange(k) for _ in range(j - 2))
+        h = LatticeHom(chain_lattice(j), chain_lattice(k), (0, *inner, k - 1))
+        out += [h, mutated(h, rng)]
+    return out
+
+
+def check_dual_law(h):
+    """verify_hom against the definitional scan, flag and witness.  On a
+    distributive target the dual check alone must give the scan's flag
+    for every map that keeps the bounds; on any other target it must
+    decline, so that the scan decides."""
+    ref = ref_verify_hom(h)
+    assert verify_hom(h) == ref, h
+    if ref[1] is None or ref[1][0] in ("meet", "join"):
+        dist = is_distributive(h.target)[0]
+        assert homs._dual_law_holds(h) == (dist and ref[0]), h
+    return ref[0]
+
+
+def test_dual_law_matches_the_scan(corpus):
+    """Over 600 maps: random Boolean homs between 2^1 and 2^6, every
+    other one changed at one entry; table sources (the fixtures, M3 and
+    N5 among them) into keyed powersets; distributive table targets (the
+    powerset fixtures, chains and opposites); and non-distributive table
+    targets, where the scan decides."""
+    rng = random.Random(7)
+    algebras = {k: gen.boolean_algebra(k) for k in range(1, 7)}
+    maps = []
+    for j in range(1, 7):
+        for k in range(1, 7):
+            for seed in range(5):
+                h = gen.random_boolean_hom(algebras[j], algebras[k], seed)
+                maps.append(mutated(h, rng) if seed % 2 else h)
+    tables = [M for L in corpus.values() for M in (L, opposite(L))]
+    for L in tables:
+        if L.n > 1:
+            for h in prime_filter_homs(L, rng):
+                maps += [h, mutated(h, rng)]
+    for k in range(1, 5):
+        T = corpus[f"powerset{k}"]
+        for j in range(1, 4):
+            h = gen.random_boolean_hom(algebras[j], algebras[k], j + k)
+            maps += [renamed_into(h, T), renamed_into(mutated(h, rng), T)]
+    for j, k in ((3, 3), (4, 2), (5, 7), (6, 6)):
+        maps += monotone_chain_maps(j, k, rng, 5)
+    for L in tables:
+        maps += [identity_hom(L), mutated(identity_hom(L), rng)]
+    for name in ("m3", "n5"):
+        T = corpus[name]
+        for K in (chain_lattice(2), chain_lattice(3), corpus["powerset2"], T):
+            for _ in range(4):
+                inner = tuple(rng.randrange(T.n) for _ in range(K.n))
+                f = tuple(
+                    T.bottom if a == K.bottom else T.top if a == K.top else y
+                    for a, y in enumerate(inner)
+                )
+                maps.append(LatticeHom(K, T, f))
+    # keyed lattices whose bottom key is not empty: every key gets an
+    # extra point 0, so the points of bottom must stay out of the columns
+    lifted = {
+        k: FiniteLattice.from_keys([key << 1 | 1 for key in B.keys])
+        for k, B in algebras.items()
+    }
+    for j, k in ((2, 3), (3, 2), (4, 4), (1, 5)):
+        for seed in range(4):
+            h = gen.random_boolean_hom(algebras[j], algebras[k], seed)
+            for K, L in ((lifted[j], algebras[k]), (algebras[j], lifted[k])):
+                g = LatticeHom(K, L, h.map)
+                maps += [g, mutated(g, rng)]
+    assert len(maps) >= 600
+    flags = [check_dual_law(h) for h in maps]
+    assert set(flags) == {True, False}
+    non_dist = [h for h in maps if not is_distributive(h.target)[0]]
+    assert {ref_verify_hom(h)[0] for h in non_dist} == {True, False}
+
+
+def test_keyed_hom_verified_without_lookups(monkeypatch):
+    """A hom onto a keyed target is verified with no meet or join; the
+    scan runs once the dual check fails, as on a map with one wrong
+    entry."""
+    calls = []
+    for name in ("meet", "join"):
+        orig = getattr(FiniteLattice, name)
+        monkeypatch.setattr(
+            FiniteLattice,
+            name,
+            lambda self, a, b, orig=orig: calls.append(1) or orig(self, a, b),
+        )
+    h = gen.random_boolean_hom(gen.boolean_algebra(5), gen.boolean_algebra(4), 3)
+    assert verify_hom(h) == (True, None)
+    assert not calls
+    bad = mutated(h, random.Random(0))
+    assert verify_hom(bad)[0] is False
+    assert calls
 
 
 def test_compose(corpus, quotient):
@@ -268,11 +406,54 @@ def test_separative_hom_target_above_size_cap(corpus):
     assert is_separative_hom(h) == (False, (1, 1))
 
 
+def test_separative_hom_above_size_cap_makes_no_lookup(monkeypatch):
+    """The identity of 2^13, law included, is decided with no meet, join
+    or leq call: the law through the dual check, the ↓y off the points."""
+    calls = []
+    for name in ("meet", "join", "leq"):
+        orig = getattr(FiniteLattice, name)
+        monkeypatch.setattr(
+            FiniteLattice,
+            name,
+            lambda self, a, b, orig=orig: calls.append(1) or orig(self, a, b),
+        )
+    P = powerset_lattice(13)
+    assert is_separative_hom(identity_hom(P)) == (True, None)
+    assert calls == []
+
+
 @given(closure_system_lattices(), st.randoms())
 @settings(max_examples=100, deadline=None)
 def test_separative_hom_matches_reference_on_closure_systems(L, rng):
     for h in prime_filter_homs(L, rng):
         check_separative_hom(h)
+
+
+def test_separativity_report_matches_the_definitions(corpus, quotient, embedding):
+    """The separative and preimages_ultra fields, read off the cached
+    columns, against the definitional scan and the brute-force
+    ultrafilters and preimages, with the hypotheses unchecked: identity
+    homs of the fixtures (ult(L) then has fewer points than L has
+    join-irreducibles), prime-filter homs and Boolean homs."""
+    rng = random.Random(3)
+    lattices = [L for L in oracle_lattices(corpus) if L.n > 1]
+    homs_ = [quotient, embedding] + random_boolean_homs()
+    homs_ += [identity_hom(L) for L in lattices]
+    homs_ += [h for L in lattices[:20] for h in prime_filter_homs(L, rng)]
+    seen = set()
+    for h in homs_:
+        if h.target.n == 1:
+            continue
+        rep = separativity_equivalence(h, unchecked=True)
+        ult_k = {u.members for u in enumerate_filters(h.source, "ultra", "brute")}
+        preimages_ultra = all(
+            h.preimage_filter(p) in ult_k
+            for p in enumerate_filters(h.target, "ultra", "brute")
+        )
+        assert rep.separative == ref_is_separative_hom(h)[0], h
+        assert rep.preimages_ultra == preimages_ultra, h
+        seen.add(preimages_ultra)
+    assert seen == {True, False}
 
 
 def test_separativity_equivalence_identity(corpus):
@@ -374,8 +555,8 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
 def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
     """build_space keeps each space in its lattice's memo.  `wallman hom`
     with --induced, --separative, --equivalence and --laws on the
-    identity of powerset2 asks for ult(·) 14 times over 3 lattice objects
-    (twice from induced_map, four times from separativity_equivalence,
+    identity of powerset2 asks for ult(·) 13 times over 3 lattice objects
+    (twice from induced_map, three times from separativity_equivalence,
     eight times from the four maps of functor_laws) and builds each of
     the 3 spaces once."""
     calls, built = [], []
@@ -396,7 +577,7 @@ def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
     flags = ["--induced", "--separative", "--equivalence", "--laws", str(path)]
     assert cli.main(["hom", str(path), *flags]) == 0
     capsys.readouterr()
-    assert len(calls) == 14
+    assert len(calls) == 13
     assert len(built) == 3
     assert {id(L) for L in built} == {id(L) for L in calls}
 
@@ -469,12 +650,15 @@ def test_image_separates_matches_reference(corpus, quotient, embedding):
 
 
 def test_image_separates_above_size_cap():
-    """The masks read the target's order rows, so a keyed target above
-    SIZE_CAP raises TooLarge where the definitional scan made n² lookups."""
+    """A keyed target reads ↑a off its points, so it answers above
+    SIZE_CAP: on a Boolean target the image separates iff h is onto
+    (see the next test), so the identity of 2^13 separates and the
+    bounds-only hom 2 -> 2^13 does not."""
     P = powerset_lattice(13)
     assert P.n > SIZE_CAP
-    with pytest.raises(TooLarge):
-        image_separates(identity_hom(P))
+    assert image_separates(identity_hom(P)) is True
+    bounds = LatticeHom(chain_lattice(2), P, (P.bottom, P.top))
+    assert image_separates(bounds) is False
 
 
 def test_image_separates_iff_onto_on_boolean_targets():
@@ -532,6 +716,36 @@ def test_alexandrov_corpus(corpus):
         assert is_boolean(res.algebra)
         assert res.onto.is_surjective()
         assert verify_hom(res.hom)[0]
+
+
+def test_closed_form_ult_of_the_algebra_matches_build_space():
+    """alexandrov writes ult(B) down; for B = 2^k, k = 1…10, it is the
+    space build_space makes, point for point, and it sits in B's memo."""
+    for k in range(1, 11):
+        S = build_space(powerset_lattice(k), "ultra")
+        res = alexandrov(powerset_lattice(k))
+        T = res.onto.source
+        assert T is build_space(res.algebra, "ultra")
+        assert T.kind == S.kind == "ultra"
+        assert [p.members for p in T.points] == [p.members for p in S.points]
+        assert {p.kind for p in T.points} == {"ultra"}
+        assert T.a_plus == S.a_plus
+        assert T.closures == S.closures
+
+
+def test_stone_m3_message(m3):
+    """The known defect pinned by the benchmark: alexandrov on M3 ends in
+    this AssertionError, witness and text unchanged."""
+    with pytest.raises(AssertionError) as exc:
+        alexandrov(m3)
+    assert str(exc.value) == (
+        "a -> a⁺ failed the homomorphism check: ('join', 1, 2)"
+    )
+    with pytest.raises(AssertionError) as exc:
+        cli.main(["stone", "m3"])
+    assert str(exc.value) == (
+        "a -> a⁺ failed the homomorphism check: ('join', 1, 2)"
+    )
 
 
 # -- closure routes against definitional references --------------------------

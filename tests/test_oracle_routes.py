@@ -22,7 +22,10 @@ ground points and reach none of the order-row and mask helpers.
 
 The refinement flags and alexandrov's onto map hold by construction: the
 refinement reaches none of the scans that used to measure its flags, and
-alexandrov chases no preimage and closes no family of classes.
+alexandrov chases no preimage and closes no family of classes.  So do the
+clauses of theorem_suite, which builds no space and measures no
+separation axiom.  verify_hom decides the law through the dual check
+_dual_law_holds, and its pair scan runs only once that check has failed.
 """
 
 import ast
@@ -330,3 +333,32 @@ def test_constructions_skip_the_checks_they_make_true():
     reached = reached_from(index["alexandrov"], index)
     assert "build_space" in reached
     assert not reached & {"preimage_filter", "union_closure"}
+
+
+def test_theorem_suite_builds_no_space():
+    index = function_index()
+    reached = reached_from(index["theorem_suite"], index)
+    assert "is_normal" in reached
+    assert not reached & {"build_space", "separation_axioms"}
+
+
+def test_hom_pair_scan_only_after_the_dual_check_fails():
+    """In verify_hom every meet and join call comes after the statement
+    `if _dual_law_holds(h): return (True, None)`, and the dual check is
+    made there only."""
+    calls = calls_to("_dual_law_holds")
+    assert {(module, fn) for module, fn, _ in calls} == {
+        ("homs.py", "verify_hom")
+    }
+    (verify,) = function_index()["verify_hom"]
+    (gate,) = [
+        i
+        for i, stmt in enumerate(verify.body)
+        if isinstance(stmt, ast.If)
+        and isinstance(stmt.test, ast.Call)
+        and getattr(stmt.test.func, "id", None) == "_dual_law_holds"
+        and isinstance(stmt.body[-1], ast.Return)
+    ]
+    scan = called_names(verify.body[gate + 1 :])
+    assert {"meet", "join"} <= scan
+    assert not called_names(verify.body[:gate]) & {"meet", "join"}

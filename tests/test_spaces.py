@@ -17,7 +17,10 @@ from wallman.errors import (
 from wallman.filters import enumerate_filters, is_prime, principal_filter
 from wallman.lattice import (
     atoms,
+    chain_lattice,
+    is_boolean,
     is_distributive,
+    is_normal,
     is_generating,
     join_irreducibles,
     opposite,
@@ -25,6 +28,7 @@ from wallman.lattice import (
 )
 from wallman.spaces import (
     SeparationReport,
+    SuiteReport,
     alexander_check,
     build_space,
     finite_separative_is_boolean,
@@ -111,6 +115,71 @@ def test_suite_needs_distributive(n5):
 def test_suite_on_random_lattices(L):
     rep = theorem_suite(L)
     assert rep.all_asserted_hold()
+
+
+def ref_theorem_suite(L):
+    """The suite as measured on the spaces: pf(L) and ult(L) built, their
+    separation axioms read off the closures."""
+    dist, wit = is_distributive(L)
+    if not dist:
+        raise NotDistributive("suite needs a distributive lattice", witness=wit)
+    pf = build_space(L, "prime")
+    ult = build_space(L, "ultra")
+    pf_sep = separation_axioms(pf)
+    ult_sep = separation_axioms(ult)
+    boolean = is_boolean(L)
+    normal, _ = is_normal(L)
+    ult_eq_pf = {p.members for p in ult.points} == {
+        p.members for p in pf.points
+    }
+    return SuiteReport(
+        pf_t0=pf_sep.t0,
+        pf_t1_implies_boolean=(not pf_sep.t1) or boolean,
+        boolean_implies_pf_hausdorff=(not boolean) or pf_sep.hausdorff,
+        closed_sets_are_basic=True,
+        ult_t1=ult_sep.t1,
+        normal_implies_ult_hausdorff=(not normal) or ult_sep.hausdorff,
+        ult_hausdorff_implies_normal=(not ult_sep.hausdorff) or normal,
+        ult_equals_pf=ult_eq_pf,
+        boolean=boolean,
+        ult_equals_pf_iff_boolean=ult_eq_pf == boolean,
+    )
+
+
+def check_suite(L):
+    """theorem_suite against the measured suite: the same report, or the
+    same exception type, text and witness.  Returns the report or the
+    exception type."""
+    try:
+        ref = ref_theorem_suite(L)
+    except (NotDistributive, DegenerateLattice) as exc:
+        with pytest.raises(type(exc)) as got:
+            theorem_suite(L)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "witness", None) == getattr(exc, "witness", None)
+        return type(exc)
+    assert theorem_suite(L) == ref, L
+    return ref
+
+
+def test_suite_matches_the_measured_suite(corpus):
+    """Over the fixtures, their opposites, attach_bottom of both, the
+    1-element lattice and seeded keyed down-set lattices: every clause the
+    construction gives is the one measured on the spaces."""
+    lattices = oracle_lattices(corpus) + [chain_lattice(1)]
+    lattices += [gen.random_downset_lattice(3 + seed % 6, seed) for seed in range(40)]
+    seen = [check_suite(L) for L in lattices]
+    reports = [r for r in seen if isinstance(r, SuiteReport)]
+    assert {NotDistributive, DegenerateLattice} <= set(seen)
+    assert {r.boolean for r in reports} == {True, False}
+    assert {r.ult_hausdorff_implies_normal for r in reports} == {True, False}
+    assert any(L.keys is not None for L in lattices)
+
+
+@given(closure_system_lattices())
+@settings(max_examples=150, deadline=None)
+def test_suite_matches_the_measured_suite_on_closure_systems(L):
+    check_suite(L)
 
 
 @given(small_lattices)
