@@ -22,10 +22,8 @@ from .lattice import (
     _disjoint_masks,
     _generator_ups,
     _order_rows,
-    _point_holds,
     _point_meets,
     atoms,
-    is_distributive,
     is_normal,
     is_separative,
     join_irreducibles,
@@ -132,8 +130,10 @@ def verify_hom(h: LatticeHom) -> tuple:
     filters of K its generator up-rows (lattice._generator_ups), so the
     check costs O(n_K·|J(L)|) instead of the n_K²/2 pairs of the scan,
     with no meet or join and, on keyed lattices, no order rows.  A keyed
-    target is distributive by construction; a table target uses its
-    memoized is_distributive.  On a non-distributive target, on a map
+    target is distributive by construction; a table target is iff its
+    join-primes are its join-irreducibles, the route of is_distributive,
+    read here without the witness search is_distributive runs on a
+    non-distributive lattice.  On a non-distributive target, on a map
     entry that is no element id of L, and whenever the dual check fails,
     the pair scan runs, so the flag and the first witness are the scan's.
     """
@@ -161,7 +161,7 @@ def _dual_law_holds(h: LatticeHom) -> bool:
     K, L, f = h.source, h.target, h.map
     if min(f) < 0 or max(f) >= L.n:
         return False
-    if not is_distributive(L)[0]:
+    if L.keys is None and join_primes(L) != join_irreducibles(L):
         return False
     primes = set(_generator_ups(K, join_primes(K)))
     return all(col in primes for col in h.pullbacks.values())
@@ -277,7 +277,7 @@ def is_separative_hom(h: LatticeHom) -> tuple:
     K, L, f = h.source, h.target, h.map
     disj_k, disj_l = _disjoint_masks(K), _disjoint_masks(L)
     ys = list(set(f))
-    below = dict(zip(ys, _order_rows(L, ys)[1]))
+    below = dict(zip(ys, _order_rows(L, ys, False)))
     for a in range(K.n):
         bad = disj_l[f[a]]
         rest = disj_k[a]
@@ -412,7 +412,7 @@ def image_separates(h: LatticeHom) -> bool:
     L = h.target
     disj = _disjoint_masks(L)
     img = mask_of(h.map)
-    for a, up in enumerate(_order_rows(L, range(L.n))[0]):
+    for a, up in enumerate(_order_rows(L, range(L.n), True)):
         need = disj[a]
         for c in iter_bits(up & img):
             need &= ~disj[c]
@@ -471,15 +471,12 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
     join-prime (the build_space argument), so that precondition is
     checked instead of the hom law itself.
 
-    ult(B) is written down, not built: the atoms of B are the keys 2^i,
-    so point i is ↑{i}, whose members are the keys holding i, a⁺ is
-    {i : i ∈ a}, the id a itself, and each closure is {i}.  That is the
-    space build_space(B, "ultra") would make, and it goes into B's memo
-    in its place.  The preimage of its point i under j is
-    {a : i ∈ a⁺} = {a : tᵢ <= a} = ↑tᵢ, point i of ult(L).  So the onto
-    map is the identity on range(k), a bijection between discrete
-    spaces, continuous and surjective with no ultrafilter extension to
-    chase and nothing left to check.
+    Point i of ult(B) is the ultrafilter ↑{i} on the i-th atom of B, and
+    its preimage {a : i ∈ a⁺} = {a : tᵢ <= a} = ↑tᵢ is point i of ult(L).
+    So the onto map is the identity on range(k), a bijection between
+    discrete spaces, continuous and surjective with no ultrafilter
+    extension to chase and nothing left to check.  B is keyed, so
+    build_space reads ult(B) off its k points with no order rows.
     """
     space = build_space(L, "ultra")
     k = space.size
@@ -490,16 +487,5 @@ def alexandrov(L: FiniteLattice) -> AlexandrovResult:
         # outcome of `stone m3`; an explicit raise keeps it under python -O.
         wit = verify_hom(j)[1]
         raise AssertionError(f"a -> a⁺ failed the homomorphism check: {wit}")
-    # under the tag build_space keeps ult(B) at, so later asks reuse it
-    ult_b = B._memo(("space", "ultra"), lambda: _powerset_ult(B))
-    onto = SpaceMap(ult_b, space, tuple(range(k)))
+    onto = SpaceMap(build_space(B, "ultra"), space, tuple(range(k)))
     return AlexandrovResult(B, j, onto, j.kernel())
-
-
-def _powerset_ult(B: FiniteLattice) -> WallmanSpace:
-    """ult(B) of a powerset_lattice B in closed form (see alexandrov):
-    point i has the members holds_i (_point_holds), a⁺ is the id a and
-    cl{i} is {i}."""
-    points = tuple(FilterSet(B, m, kind="ultra") for m in _point_holds(B))
-    closures = tuple(1 << i for i in range(len(points)))
-    return WallmanSpace(B, "ultra", points, tuple(range(B.n)), closures)

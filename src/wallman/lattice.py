@@ -298,7 +298,10 @@ class FiniteLattice:
             return
         if self.n > SIZE_CAP:
             raise TooLarge("relation rows beyond the size cap")
-        self._up, self._down = _order_rows(self, range(self.n))
+        ids = range(self.n)
+        up = list(_order_rows(self, ids, True))
+        down = list(_order_rows(self, ids, False))
+        self._up, self._down = up, down
 
     # -- conveniences --------------------------------------------------
 
@@ -399,8 +402,9 @@ def _point_holds(L: FiniteLattice) -> list:
     return L._memo("point_holds", compute)
 
 
-def _order_rows(L: FiniteLattice, ids) -> tuple:
-    """(up-rows, down-rows) of the elements ids, as two lists.
+def _order_rows(L: FiniteLattice, ids, up: bool):
+    """The up-rows (up=True) or the down-rows of the elements ids, one
+    at a time.
 
     A lattice with rows reads them.  A keyed lattice reads them off its
     points, with no SIZE_CAP: for each point g of top∖bottom, holds_g
@@ -408,31 +412,34 @@ def _order_rows(L: FiniteLattice, ids) -> tuple:
     points of bottom lie in every key and bound no row.  The up-row of a
     is the intersection of holds_g over the points g of its key; b <= a
     iff key b holds no point outside key a, so the down-row of a is the
-    full mask minus the union of holds_g over the other points.  Each
-    point costs one big-int operation per element, on one side or the
-    other, so both rows of all n elements cost n·|ground| operations
-    instead of n² key comparisons and a transpose.
+    full mask minus the union of holds_g over the other points.  So one
+    row costs one big-int operation per point on its side of key a, and
+    both rows of all n elements n·|ground| operations instead of n² key
+    comparisons and a transpose.
     """
     if L._up is not None:
-        return [L._up[a] for a in ids], [L._down[a] for a in ids]
+        rows = L._up if up else L._down
+        for a in ids:
+            yield rows[a]
+        return
     full = L.full_mask
     keys = L.keys
     ground = list(iter_bits(keys[L.top] & ~keys[L.bottom]))
-    holds = _point_holds(L)
-    up = []
-    down = []
+    points = list(zip(ground, _point_holds(L)))
     for a in ids:
         ka = keys[a]
-        u = full
-        d = 0
-        for g, h in zip(ground, holds):
-            if ka >> g & 1:
-                u &= h
-            else:
-                d |= h
-        up.append(u)
-        down.append(full & ~d)
-    return up, down
+        if up:
+            row = full
+            for g, h in points:
+                if ka >> g & 1:
+                    row &= h
+            yield row
+        else:
+            row = 0
+            for g, h in points:
+                if not ka >> g & 1:
+                    row |= h
+            yield full & ~row
 
 
 def _point_table(L: FiniteLattice, rows: list) -> dict:

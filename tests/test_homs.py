@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_lattice import closure_system_lattices
 from test_spaces import oracle_lattices, ref_closed_family
 
-from wallman import cli, gen, homs, io, spaces
+from wallman import cli, gen, homs, io, lattice, spaces
 from wallman.bits import mask_of, subset
 from wallman.errors import (
     NonUniqueExtension,
@@ -649,16 +649,26 @@ def test_image_separates_matches_reference(corpus, quotient, embedding):
     assert seen == {True, False}
 
 
-def test_image_separates_above_size_cap():
+def test_image_separates_above_size_cap(monkeypatch):
     """A keyed target reads ↑a off its points, so it answers above
     SIZE_CAP: on a Boolean target the image separates iff h is onto
     (see the next test), so the identity of 2^13 separates and the
-    bounds-only hom 2 -> 2^13 does not."""
+    bounds-only hom 2 -> 2^13 does not.  Only up-rows are asked for, one
+    element at a time."""
+    sides = []
+    rows = homs._order_rows
+
+    def spy(L, ids, up):
+        sides.append(up)
+        return rows(L, ids, up)
+
+    monkeypatch.setattr(homs, "_order_rows", spy)
     P = powerset_lattice(13)
     assert P.n > SIZE_CAP
     assert image_separates(identity_hom(P)) is True
     bounds = LatticeHom(chain_lattice(2), P, (P.bottom, P.top))
     assert image_separates(bounds) is False
+    assert sides == [True, True]
 
 
 def test_image_separates_iff_onto_on_boolean_targets():
@@ -718,9 +728,10 @@ def test_alexandrov_corpus(corpus):
         assert verify_hom(res.hom)[0]
 
 
-def test_closed_form_ult_of_the_algebra_matches_build_space():
-    """alexandrov writes ult(B) down; for B = 2^k, k = 1…10, it is the
-    space build_space makes, point for point, and it sits in B's memo."""
+def test_ult_of_the_algebra_matches_build_space():
+    """For B = 2^k, k = 1…10, the ult(B) of alexandrov is the space
+    build_space makes on a fresh 2^k, point for point, and it sits in B's
+    memo."""
     for k in range(1, 11):
         S = build_space(powerset_lattice(k), "ultra")
         res = alexandrov(powerset_lattice(k))
@@ -731,6 +742,20 @@ def test_closed_form_ult_of_the_algebra_matches_build_space():
         assert {p.kind for p in T.points} == {"ultra"}
         assert T.a_plus == S.a_plus
         assert T.closures == S.closures
+
+
+def test_non_distributive_target_runs_no_witness_search(corpus, monkeypatch):
+    """verify_hom into a non-distributive table lattice declines the dual
+    check on the join-prime route alone, with no distributivity witness
+    search, and the pair scan decides."""
+    scans = []
+    monkeypatch.setattr(
+        lattice, "_distributivity_scan", lambda L: scans.append(L)
+    )
+    for name in ("m3", "n5"):
+        L = opposite(corpus[name])  # a fresh object, its memo empty
+        assert verify_hom(identity_hom(L)) == (True, None)
+    assert scans == []
 
 
 def test_stone_m3_message(m3):
