@@ -1,8 +1,10 @@
 """Command-line workbench: wallman <command> [args].
 
-Reports are JSON on stdout (one object per run) with a --pretty human
-view; timing fields are always under "timings_ms" so golden comparisons
-can drop them.  Exit codes: 0 pass, 1 check failure, 2 input error.
+Each cmd_* handler returns (report, exit code); main alone times it and
+emits the report, as JSON on stdout (one object per run) or as a --pretty
+human view.  Timing fields are always under "timings_ms" so golden
+comparisons can drop them.  Exit codes: 0 pass, 1 check failure, 2 input
+error.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ import time
 
 from . import covers, filters, gen, homs, io, lattice, spaces
 from .errors import WallmanError
-
-
-def _timer():
-    start = time.perf_counter()
-    return lambda: round((time.perf_counter() - start) * 1000.0, 3)
 
 
 def emit(report: dict, pretty: bool) -> None:
@@ -57,8 +54,7 @@ def _pretty(obj, indent=0):
 CHECK_VERDICTS = ("lattice", "distributive", "normal", "separative", "boolean")
 
 
-def cmd_check(args) -> int:
-    elapsed = _timer()
+def cmd_check(args) -> tuple:
     required = [r.strip() for r in args.require.split(",") if r.strip()]
     unknown = [r for r in required if r not in CHECK_VERDICTS]
     if unknown:
@@ -80,14 +76,11 @@ def cmd_check(args) -> int:
         "input": L.name or args.path,
         "verdicts": verdicts,
         "witnesses": witnesses,
-        "timings_ms": {"total": elapsed()},
     }
-    emit(report, args.pretty)
-    return 0 if all(verdicts[r] for r in required) else 1
+    return report, 0 if all(verdicts[r] for r in required) else 1
 
 
-def cmd_filters(args) -> int:
-    elapsed = _timer()
+def cmd_filters(args) -> tuple:
     L = io.resolve_lattice(args.path)
     out = filters.enumerate_filters(L, args.cls, args.strategy)
     report = {
@@ -97,7 +90,6 @@ def cmd_filters(args) -> int:
         "strategy": args.strategy,
         "count": len(out),
         "filters": [io.dump_filter(f) for f in out],
-        "timings_ms": {"total": elapsed()},
     }
     code = 0
     if args.oracle:
@@ -107,19 +99,16 @@ def cmd_filters(args) -> int:
         report["oracle"] = {"strategy": other, "agree": agree}
         if not agree:
             code = 1
-    emit(report, args.pretty)
-    return code
+    return report, code
 
 
-def cmd_space(args) -> int:
-    elapsed = _timer()
+def cmd_space(args) -> tuple:
     L = io.resolve_lattice(args.path)
     S = spaces.build_space(L, args.kind)
     report = {
         "command": "space",
         "input": L.name or args.path,
         "space": io.dump_space(S),
-        "timings_ms": {"total": elapsed()},
     }
     if args.axioms:
         sep = spaces.separation_axioms(S)
@@ -132,12 +121,10 @@ def cmd_space(args) -> int:
                 for k, v in sep.witnesses.items()
             },
         }
-    emit(report, args.pretty)
-    return 0
+    return report, 0
 
 
-def cmd_suite(args) -> int:
-    elapsed = _timer()
+def cmd_suite(args) -> tuple:
     L = io.resolve_lattice(args.path)
     rep = spaces.theorem_suite(L)
     clauses = {k: getattr(rep, k) for k in rep.__dataclass_fields__}
@@ -146,24 +133,16 @@ def cmd_suite(args) -> int:
         "input": L.name or args.path,
         "clauses": clauses,
         "all_asserted_hold": rep.all_asserted_hold(),
-        "timings_ms": {"total": elapsed()},
     }
-    emit(report, args.pretty)
-    return 0 if rep.all_asserted_hold() else 1
+    return report, 0 if rep.all_asserted_hold() else 1
 
 
-def cmd_hom(args) -> int:
+def cmd_hom(args) -> tuple:
     """Every entry of homs reads the verdict h.law cached for the report,
     so h is verified once whatever the flags; --laws verifies one more."""
-    elapsed = _timer()
     h = io.load_hom_file(args.path)
     ok, wit = h.law
-    report = {
-        "command": "hom",
-        "input": args.path,
-        "valid_hom": ok,
-        "timings_ms": {},
-    }
+    report = {"command": "hom", "input": args.path, "valid_hom": ok}
     if wit is not None:
         report["witness"] = list(wit)
     code = 0 if ok else 1
@@ -195,14 +174,11 @@ def cmd_hom(args) -> int:
         report["functor_laws"] = holds
         if not holds:
             code = 1
-    report["timings_ms"] = {"total": elapsed()}
-    emit(report, args.pretty)
-    return code
+    return report, code
 
 
-def cmd_stone(args) -> int:
+def cmd_stone(args) -> tuple:
     """Boolean, onto and continuous hold by construction (homs.alexandrov)."""
-    elapsed = _timer()
     L = io.resolve_lattice(args.path)
     res = homs.alexandrov(L)
     report = {
@@ -213,14 +189,11 @@ def cmd_stone(args) -> int:
         "kernel": [L.names[a] for a in res.kernel],
         "onto": True,
         "continuous": True,
-        "timings_ms": {"total": elapsed()},
     }
-    emit(report, args.pretty)
-    return 0
+    return report, 0
 
 
-def cmd_cert(args) -> int:
-    elapsed = _timer()
+def cmd_cert(args) -> tuple:
     F = io.load_family_file(args.path)
     report = {"command": f"cert {args.sub}", "input": args.path}
     code = 0
@@ -286,27 +259,22 @@ def cmd_cert(args) -> int:
             with open(args.out, "w") as fh:
                 json.dump(io.dump_family(res.family), fh, indent=1)
                 fh.write("\n")
-    report["timings_ms"] = {"total": elapsed()}
-    emit(report, args.pretty)
-    return code
+    return report, code
 
 
-def cmd_gen(args) -> int:
-    elapsed = _timer()
-    if args.kind == "downset":
-        L = gen.random_downset_lattice(args.size, args.seed)
-        payload = io.dump_lattice(L)
-        summary = {"elements": L.n}
-    elif args.kind == "boolean":
-        L = gen.boolean_algebra(args.size)
-        payload = io.dump_lattice(L)
-        summary = {"elements": L.n}
-    elif args.kind == "staged-family":
+def cmd_gen(args) -> tuple:
+    if args.kind == "staged-family":
         F = gen.random_staged_family(args.size, args.seed)
         payload = io.dump_family(F)
         summary = {"members": len(F.members)}
     else:
-        raise ValueError(f"unknown kind {args.kind!r}")
+        L = (
+            gen.boolean_algebra(args.size)
+            if args.kind == "boolean"
+            else gen.random_downset_lattice(args.size, args.seed)
+        )
+        payload = io.dump_lattice(L)
+        summary = {"elements": L.n}
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1)
@@ -317,12 +285,10 @@ def cmd_gen(args) -> int:
         "size": args.size,
         "seed": args.seed,
         "summary": summary,
-        "timings_ms": {"total": elapsed()},
     }
     if not args.out:
         report["payload"] = payload
-    emit(report, args.pretty)
-    return 0
+    return report, 0
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse argv, run its command and emit the report it returns, with
+    timings_ms.total spanning the whole command; return its exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (WallmanError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        start = time.perf_counter()
+        report, code = args.fn(args)
+        total = round((time.perf_counter() - start) * 1000.0, 3)
+        report["timings_ms"] = {"total": total}
+        emit(report, args.pretty)
+        return code
+    except (WallmanError, OSError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its key; print the message bare
         msg = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {msg}", file=sys.stderr)

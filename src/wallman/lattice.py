@@ -315,9 +315,6 @@ class FiniteLattice:
     def full_mask(self) -> int:
         return bit(self.n) - 1
 
-    def elements(self) -> range:
-        return range(self.n)
-
     def id_of(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -801,7 +798,6 @@ def is_separative(L: FiniteLattice):
                     bad = common & ~up
                     return (False, (a, (bad & -bad).bit_length() - 1))
             return (True, None)
-        L.materialize_rows()
         up, down = L._up, L._down
         atom_mask = mask_of(atoms(L))
         for a in range(L.n):
@@ -989,7 +985,6 @@ def join_irreducibles(L: FiniteLattice) -> tuple:
         if L.keys is not None:
             index = L._key_index
             return tuple(sorted({index[m] for m in _point_meets(L)}))
-        L.materialize_rows()
         down = L._down
         rows = set(down)
         return tuple(
@@ -1018,7 +1013,6 @@ def join_primes(L: FiniteLattice) -> tuple:
     def compute():
         if L.keys is not None:
             return join_irreducibles(L)
-        L.materialize_rows()
         rows = set(L._down)
         full = L.full_mask
         return tuple(j for j in range(L.n) if full & ~L._up[j] in rows)

@@ -8,7 +8,7 @@ from test_spaces import oracle_lattices
 
 from wallman import gen
 from wallman.bits import iter_bits, mask_of, subset
-from wallman.lattice import FiniteLattice, chain_lattice, is_normal
+from wallman.lattice import FiniteLattice, chain_lattice, is_distributive, is_normal
 from wallman.errors import (
     DegenerateLattice,
     ElementInFilter,
@@ -223,6 +223,26 @@ def test_brute_fast_exhaustive_agree(L):
             exh = {f.members for f in enumerate_filters(L, kind, "exhaustive")}
             assert brute == exh
     check_brute_primes(L)
+
+
+def test_fast_all_matches_brute(corpus):
+    """The fast `all` branch lists ↑a for a ≠ 0 in id order, as brute
+    does: on every distributive fixture, on keyed down-set lattices and
+    Boolean algebras; on M3 and N5 it refuses."""
+    keyed = [
+        gen.random_downset_lattice(k, seed) for k in (2, 5, 8) for seed in range(4)
+    ]
+    keyed += [gen.boolean_algebra(k) for k in (1, 3, 5)]
+    assert all(L.keys is not None for L in keyed)
+    for L in list(corpus.values()) + keyed:
+        if not is_distributive(L)[0]:
+            with pytest.raises(NotDistributive):
+                enumerate_filters(L, "all", "fast")
+            continue
+        fast = enumerate_filters(L, "all", "fast")
+        brute = enumerate_filters(L, "all", "brute")
+        assert [f.members for f in fast] == [f.members for f in brute], L
+        assert all(f.kind == "filter" for f in fast)
 
 
 @given(small_lattices)

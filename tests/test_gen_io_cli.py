@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallman import cli, gen, io
+from wallman import cli, covers, gen, io, lattice
+from wallman.caps import SIZE_CAP
 from wallman.errors import SizeCap
 from wallman.lattice import _distributivity_scan, is_boolean
 
@@ -294,6 +295,84 @@ def test_cli_cert_and_gen(capsys, tmp_path):
     assert code == 0 and rep["t0_preserved"]
 
 
+def test_cli_check_dot_writes_the_hasse_diagram(capsys, tmp_path):
+    dot = tmp_path / "h.dot"
+    code, rep = run(capsys, "check", "fivepoint", "--dot", str(dot))
+    assert code == 0 and rep["command"] == "check"
+    L = io.builtin_lattice("fivepoint")
+    assert dot.read_text() == io.dot_hasse(L) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["wiec", "rosenthal"])
+def test_cli_cert_refine_out_reads_back(capsys, tmp_path, mode):
+    fpath = tmp_path / "fam.json"
+    fpath.write_text(json.dumps(io.dump_family(gen.random_staged_family(6, 2))))
+    out = tmp_path / "refined.json"
+    code, rep = run(
+        capsys, "cert", str(fpath), "refine", "--mode", mode, "-o", str(out)
+    )
+    fn = covers.wiec_refinement if mode == "wiec" else covers.rosenthal_refinement
+    refined = fn(io.load_family_file(str(fpath))).family
+    assert code == 0 and rep["size"] == len(refined.members)
+    assert io.load_family_file(str(out)) == refined
+
+
+def test_cli_gen_boolean(capsys, tmp_path):
+    code, rep = run(capsys, "gen", "--kind", "boolean", "--size", "3")
+    assert code == 0 and rep["summary"] == {"elements": 8}
+    B = lattice.load_lattice(rep["payload"])
+    assert B.n == 8 and is_boolean(B)
+    out = tmp_path / "b3.json"
+    code, rep = run(capsys, "gen", "--kind", "boolean", "--size", "3", "-o", str(out))
+    assert code == 0 and "payload" not in rep
+    assert json.loads(out.read_text()) == io.dump_lattice(gen.boolean_algebra(3))
+
+
+def test_cli_cert_t0_failure_names_both_points(capsys, tmp_path):
+    fpath = tmp_path / "fam.json"
+    fpath.write_text(json.dumps({
+        "ground": ["x", "y", "z"],
+        "members": [
+            {"id": "u", "set": ["x", "z"], "group": 0},
+            {"id": "v", "set": ["y"], "group": 0},
+            {"id": "w", "set": ["x", "y", "z"], "group": 1},
+        ],
+    }))
+    code, rep = run(capsys, "cert", str(fpath), "t0")
+    assert code == 1 and rep["t0_separating"] is False
+    assert rep["witness"] == ["x", "z"]
+
+
+def test_cli_hom_not_a_homomorphism(capsys, tmp_path):
+    """M3 onto the 2-chain sending one atom up: b∨c = 1 maps to 1, but
+    f(b)∨f(c) = 0."""
+    hpath = tmp_path / "h.json"
+    hpath.write_text(json.dumps({
+        "source": "m3",
+        "target": "chain2",
+        "map": [["0", "0"], ["a", "1"], ["b", "0"], ["c", "0"], ["1", "1"]],
+    }))
+    code, rep = run(capsys, "hom", str(hpath), "--induced", "--separative")
+    assert code == 1 and rep["valid_hom"] is False
+    assert rep["witness"]
+    assert "induced" not in rep and "separative" not in rep
+
+
+@pytest.mark.parametrize("name", io.FIXTURE_NAMES)
+def test_cli_filters_all_fast_matches_brute(capsys, name):
+    """The fast `all` enumeration: on a distributive fixture it agrees
+    with brute (--oracle); on M3 and N5 it refuses, as fast does."""
+    argv = ["filters", name, "--class", "all", "--strategy", "fast", "--oracle"]
+    if lattice.is_distributive(io.builtin_lattice(name))[0]:
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["oracle"] == {"strategy": "brute", "agree": True}
+        _, brute = run(capsys, "filters", name, "--class", "all")
+        assert rep["filters"] == brute["filters"]
+    else:
+        code, err = run_err(capsys, *argv)
+        assert code == 2 and err == "error: fast path needs distributivity\n"
+
+
 def test_cli_gen_downset_size_zero(capsys):
     code, rep = run(capsys, "gen", "--kind", "downset", "--size", "0")
     assert code == 0
@@ -469,6 +548,22 @@ def test_family_names_the_first_bad_label(field, labels, bad):
     (
         {"elements": ["a", "b"], "leq": [["a", "b"]], "name": ["x"]},
         'lattice field "name" is not a string',
+    ),
+    ({"elements": ["a", "b", "a"], "covers": []}, "element names must be unique"),
+    (
+        {"elements": ["a"], "covers": [], "leq": []},
+        'give exactly one of "covers" or "leq"',
+    ),
+    ({"elements": ["a"]}, 'give exactly one of "covers" or "leq"'),
+    ({"elements": ["a"], "covers": "ab"}, 'lattice field "covers" is not a list'),
+    ({"elements": [], "covers": []}, "a lattice needs at least one element"),
+    (
+        {"elements": [f"e{i}" for i in range(SIZE_CAP + 1)], "covers": []},
+        f"{SIZE_CAP + 1} elements exceeds the cap of {SIZE_CAP}",
+    ),
+    (
+        {"elements": ["a", "b"], "covers": [["a", "zz"]]},
+        "unknown element in pair ['a', 'zz']",
     ),
 ])
 def test_cli_check_bad_lattice_file(capsys, tmp_path, raw, message):
