@@ -70,7 +70,61 @@ def union_closure(masks) -> set:
 
 
 def reflexive_transitive_closure(rows) -> list:
-    """Smallest reflexive, transitive relation containing rows (Warshall)."""
+    """Smallest reflexive, transitive relation containing rows, every row
+    below 2**len(rows).
+
+    An iterative depth-first search, roots in decreasing id order, closes
+    each node i in post-order: acc starts as {i}, and while some
+    successor of i is not yet in acc, the lowest one, j, is closed first
+    (if it is not yet) and acc |= up[j], which holds all j reaches.  A
+    successor already in acc is skipped: it lies in a closed row, so all
+    it reaches is there too.  So the result is the closure, every row ORed
+    in is final, and no row is swept twice.  When the ids list the
+    elements in a linear extension (lower elements first), as
+    io.dump_lattice and gen write them, the lowest successor left is
+    always a cover, so a transitively closed `leq` relation costs one OR
+    per cover instead of Warshall's n² bit tests.  Edges i -> j with
+    j > i, as gen.random_poset draws them, find j closed already.
+
+    A successor that is still open on the stack is a back edge: the
+    relation has a cycle, so it is no partial order and post-order rows
+    are not closed yet.  Then the closure is taken by _warshall instead;
+    both give the one closure, so the NotAPoset witness that
+    FiniteLattice.from_up_rows names is the same either way.
+    """
+    n = len(rows)
+    up = [0] * n  # 0: not reached, -1: open on the stack, else closed
+    for root in range(n - 1, -1, -1):
+        if up[root]:
+            continue
+        stack = []
+        i, acc = root, 1 << root
+        rest = rows[root] & ~acc
+        up[root] = -1
+        while True:
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                r = up[j]
+                if r > 0:
+                    acc |= r
+                    rest &= ~acc
+                elif r:
+                    return _warshall(rows)
+                else:
+                    stack.append((i, acc, rest))
+                    i, acc = j, 1 << j
+                    rest = rows[j] & ~acc
+                    up[j] = -1
+            up[i] = acc
+            if not stack:
+                break
+            i, acc, rest = stack.pop()
+    return up
+
+
+def _warshall(rows) -> list:
+    """Smallest reflexive, transitive relation containing rows, by
+    Warshall's n² loop: the route of a relation with a cycle."""
     rows = [row | 1 << i for i, row in enumerate(rows)]
     n = len(rows)
     for k in range(n):

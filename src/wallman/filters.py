@@ -217,10 +217,12 @@ def enumerate_filters(
       by definition on any lattice: ultra by maximality (_is_maximal),
       prime by the one pass over pairs of _non_prime_generators, which
       names every ↑c that some pair a, b outside it joins into it.
-    - fast requires verified distributivity and reads the generators off
-      the atoms (ultra) or the memoized join-primes (prime), with their
-      up-rows from lattice._generator_ups, as build_space does; a keyed
-      lattice needs no order rows for either class.
+    - fast lists ↑a for a ≠ 0 for `all` on any lattice, as brute does
+      (every filter of a finite lattice is principal).  For prime and
+      ultra it requires verified distributivity and reads the generators
+      off the atoms (ultra) or the memoized join-primes (prime), with
+      their up-rows from lattice._generator_ups, as build_space does; a
+      keyed lattice needs no order rows for either class.
     - exhaustive scans all upward-closed subsets with the definitional
       filter, prime and maximality checks, for |L| <= EXHAUSTIVE_CAP.
     """
@@ -230,12 +232,12 @@ def enumerate_filters(
         raise DegenerateLattice("filters need 0 != 1")
 
     if strategy == "fast":
-        dist, wit = is_distributive(L)
-        if not dist:
-            raise NotDistributive("fast path needs distributivity", witness=wit)
         if kind == "all":
             ups = [L.up_mask(a) for a in range(L.n) if a != L.bottom]
             return [FilterSet(L, u, kind="filter") for u in ups]
+        dist, wit = is_distributive(L)
+        if not dist:
+            raise NotDistributive("fast path needs distributivity", witness=wit)
         gens = atoms(L) if kind == "ultra" else join_primes(L)
         return [FilterSet(L, u, kind=kind) for u in _generator_ups(L, gens)]
 

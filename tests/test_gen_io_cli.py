@@ -360,17 +360,13 @@ def test_cli_hom_not_a_homomorphism(capsys, tmp_path):
 
 @pytest.mark.parametrize("name", io.FIXTURE_NAMES)
 def test_cli_filters_all_fast_matches_brute(capsys, name):
-    """The fast `all` enumeration: on a distributive fixture it agrees
-    with brute (--oracle); on M3 and N5 it refuses, as fast does."""
+    """The fast `all` enumeration agrees with brute (--oracle) on every
+    fixture, M3 and N5 included: it needs no distributivity."""
     argv = ["filters", name, "--class", "all", "--strategy", "fast", "--oracle"]
-    if lattice.is_distributive(io.builtin_lattice(name))[0]:
-        code, rep = run(capsys, *argv)
-        assert code == 0 and rep["oracle"] == {"strategy": "brute", "agree": True}
-        _, brute = run(capsys, "filters", name, "--class", "all")
-        assert rep["filters"] == brute["filters"]
-    else:
-        code, err = run_err(capsys, *argv)
-        assert code == 2 and err == "error: fast path needs distributivity\n"
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["oracle"] == {"strategy": "brute", "agree": True}
+    _, brute = run(capsys, "filters", name, "--class", "all")
+    assert rep["filters"] == brute["filters"]
 
 
 def test_cli_gen_downset_size_zero(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallman import cli, gen
+from wallman import bits, cli, gen
 from wallman.bits import (
     iter_bits,
     mask_of,
@@ -31,6 +31,7 @@ from wallman.lattice import (
     _distributivity_scan,
     _join_to_top_masks,
     _key_name,
+    _meets_with_meet_irreducibles,
     atoms,
     attach_bottom,
     chain_lattice,
@@ -330,24 +331,35 @@ def test_tables_match_scan_bound_on_fixtures(corpus):
             )
 
 
+def _relabel(rows, perm):
+    """The relation rows with element i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = mask_of(perm[j] for j in iter_bits(row))
+    return out
+
+
+def _bounded_poset(seed, p, edge_prob=0.4):
+    """gen.random_poset(p, seed) with a new bottom and top, ids shuffled:
+    up-rows of p + 2 elements."""
+    poset = gen.random_poset(p, seed, edge_prob=edge_prob)
+    n = p + 2
+    # element 0 is a new bottom, 1..p the poset, p+1 a new top
+    top = 1 << (p + 1)
+    up = [mask_of(range(n))] + [(row << 1) | top for row in poset] + [top]
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)  # ids need not be sorted
+    return _relabel(up, perm)
+
+
 def test_non_lattice_errors_match_scan_bound():
     """Bounded random posets: the lattice check raises the NotALattice of
     the per-pair reference, with the same message and witness, or neither
     does and meet/join agree with it on every pair."""
     outcomes = set()
     for seed in range(120):
-        p = 2 + seed % 6
-        poset = gen.random_poset(p, seed, edge_prob=0.4)
-        n = p + 2
-        # element 0 is a new bottom, 1..p the poset, p+1 a new top
-        top = 1 << (p + 1)
-        up = [mask_of(range(n))] + [(row << 1) | top for row in poset] + [top]
-        perm = list(range(n))
-        random.Random(seed).shuffle(perm)  # ids need not be sorted
-        inv = [perm.index(i) for i in range(n)]
-        up = [mask_of(perm[j] for j in range(n) if up[inv[i]] >> j & 1)
-              for i in range(n)]
-        names = [f"e{i}" for i in range(n)]
+        up = _bounded_poset(seed, 2 + seed % 6)
+        names = [f"e{i}" for i in range(len(up))]
         try:
             got = FiniteLattice.from_up_rows(names, up)
         except NotALattice as e:
@@ -404,6 +416,164 @@ def test_antisymmetry_matches_per_bit_scan():
         if want is not None:
             failed.add(len(ring))
     assert {2, 3, 4} <= failed
+
+
+def ref_closure(rows):
+    """Warshall's loop, the oracle of reflexive_transitive_closure."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    n = len(rows)
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return rows
+
+
+def _seeded_relations():
+    """(rows, planted cycle length) for seeded relations on 1 to 12
+    elements: random edges, self-loops included, most with a planted
+    cycle of length 2 to 4 (0 for none)."""
+    out = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = 1 + seed % 12
+        rows = [
+            mask_of(j for j in range(n) if rng.random() < 0.15) for _ in range(n)
+        ]
+        ring = rng.sample(range(n), min(seed % 5, n))
+        if len(ring) > 1:
+            for i, j in zip(ring, ring[1:] + ring[:1]):
+                rows[i] |= 1 << j
+        out.append((rows, len(ring) if len(ring) > 1 else 0))
+    return out
+
+
+def _seeded_posets():
+    """Relations with no cycle but self-loops: outputs of gen.random_poset
+    at 0 to 16 points, each with its ids shuffled, as given and thinned
+    to a random sub-relation with a self-loop on every element."""
+    out = []
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = seed % 17
+        P = gen.random_poset(n, seed, edge_prob=rng.choice((0.1, 0.3, 0.6)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(_relabel(P, perm))
+        thin = [row & rng.getrandbits(n) | 1 << i for i, row in enumerate(P)]
+        out.append(_relabel(thin, perm))
+    return out
+
+
+def test_closure_matches_warshall():
+    """The depth-first closure equals Warshall's loop on relations with
+    self-loops and cycles of length 2 to 4, and on random posets, which
+    it leaves as they are."""
+    cycles = set()
+    for rows, cycle in _seeded_relations():
+        assert reflexive_transitive_closure(rows) == ref_closure(rows), rows
+        cycles.add(cycle)
+    assert cycles == {0, 2, 3, 4}
+    for n in range(17):
+        for seed in range(3):
+            P = gen.random_poset(n, seed)
+            assert ref_closure(P) == P
+    for rows in _seeded_posets():
+        assert reflexive_transitive_closure(rows) == ref_closure(rows), rows
+
+
+def test_acyclic_input_never_reaches_warshall(monkeypatch, corpus):
+    """Relations whose only cycles are self-loops, and every fixture file,
+    are closed by the depth-first search alone; a 2-cycle is not."""
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return ref_closure(rows)
+
+    monkeypatch.setattr(bits, "_warshall", spy)
+    for rows in _seeded_posets():
+        reflexive_transitive_closure(rows)
+    for name in corpus:
+        load_lattice(fixture_spec(name))
+    assert calls == []
+    assert reflexive_transitive_closure([0b10, 0b01, 0b010]) == [0b11, 0b11, 0b111]
+    assert calls == [3]
+
+
+def test_covers_chain_at_size_cap_loads():
+    """A chain of SIZE_CAP elements given by its covers, listed top first:
+    the search from the bottom runs through every element, SIZE_CAP deep,
+    with no RecursionError."""
+    names = [f"c{i}" for i in range(SIZE_CAP)]
+    spec = {
+        "elements": names[::-1],
+        "covers": [[lo, hi] for lo, hi in zip(names, names[1:])],
+    }
+    L = load_lattice(spec)
+    assert L.n == SIZE_CAP
+    assert L.names[L.bottom] == "c0" and L.names[L.top] == names[-1]
+    assert L.up_mask(L.bottom) == L.full_mask
+    assert L.up_mask(SIZE_CAP - 2) == (1 << (SIZE_CAP - 1)) - 1
+
+
+def ref_meetless_pair(names, up):
+    """(message, witness) of the first pair (a, b), a < b, in id order
+    without a meet, by _scan_bound per pair; None for a lattice."""
+    down = transpose(up)
+    for a in range(len(up)):
+        for b in range(a + 1, len(up)):
+            try:
+                _scan_bound(names, down, a, b)
+            except NotALattice as e:
+                return str(e), e.witness
+    return None
+
+
+def _thinned_downset_lattices():
+    """Up-rows of seeded down-set lattices with a random set of elements
+    other than the bounds dropped, ids shuffled: bounded posets of up to
+    about 90 elements, some of them lattices."""
+    out = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        L = gen.random_downset_lattice(3 + seed % 5, seed)
+        drop = rng.choice((0.0, 0.05, 0.2))
+        keep = [
+            a for a in range(L.n)
+            if a in (L.bottom, L.top) or rng.random() >= drop
+        ]
+        sub = mask_of(keep)
+        pos = {a: i for i, a in enumerate(keep)}
+        up = [mask_of(pos[b] for b in iter_bits(L.up_mask(a) & sub)) for a in keep]
+        perm = list(range(len(keep)))
+        rng.shuffle(perm)
+        out.append(_relabel(up, perm))
+    return out
+
+
+def test_meet_irreducible_check_matches_pair_scan():
+    """On seeded bounded posets the meet-irreducible criterion gives the
+    verdict of the scan over all pairs, and from_up_rows raises the
+    scan's NotALattice message and witness, or builds the lattice."""
+    posets = [_bounded_poset(seed, 2 + seed % 15, 0.2 + seed % 3 / 10)
+              for seed in range(90)]
+    outcomes = set()
+    for up in posets + _thinned_downset_lattices():
+        names = [f"e{i}" for i in range(len(up))]
+        want = ref_meetless_pair(names, up)
+        down = transpose(up)
+        meet_of = {row: i for i, row in enumerate(down)}
+        join_of = {row: i for i, row in enumerate(up)}
+        verdict = _meets_with_meet_irreducibles(up, down, meet_of, join_of)
+        assert verdict == (want is None), up
+        try:
+            got = FiniteLattice.from_up_rows(names, up)
+        except NotALattice as e:
+            got = (str(e), e.witness)
+        assert (want is None and isinstance(got, FiniteLattice)) or got == want
+        outcomes.add(verdict)
+    assert outcomes == {True, False}
 
 
 def _bowtie_with_chain(k):
