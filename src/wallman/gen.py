@@ -25,6 +25,10 @@ from .errors import SizeCap
 from .homs import LatticeHom
 from .lattice import FiniteLattice, atoms, powerset_lattice
 
+# groups a staged family's members are drawn into; the separating members
+# random_staged_family adds go into one more group of their own
+STAGED_GROUPS = 3
+
 
 def random_poset(n_points: int, seed: int, edge_prob: float = 0.3):
     """Partial order on 0..n-1 as up-rows (reflexive, transitive)."""
@@ -93,9 +97,7 @@ def random_boolean_hom(
     return LatticeHom(src, tgt, tuple(images))
 
 
-def random_staged_family(
-    n_members: int, seed: int, n_groups: int = 3
-) -> CoverFamily:
+def random_staged_family(n_members: int, seed: int) -> CoverFamily:
     """Staged family over a small ground set, forced T0-separating."""
     if not 1 <= n_members <= MAX_FAMILY_MEMBERS:
         raise SizeCap(f"member count must be in 1..{MAX_FAMILY_MEMBERS}, got {n_members}")
@@ -108,14 +110,14 @@ def random_staged_family(
         while not pts:
             pts = rng.getrandbits(g) & full
         stages = _random_stages(rng, pts)
-        members.append(Member(f"u{i}", pts, rng.randrange(n_groups), stages))
+        members.append(Member(f"u{i}", pts, rng.randrange(STAGED_GROUPS), stages))
     fam = CoverFamily(tuple(str(x) for x in range(g)), tuple(members))
     ok, wit = is_T0_separating(fam)
     extra = list(members)
     while not ok:
         x, _ = wit
         extra.append(
-            Member(f"sep{x}", bit(x), n_groups, (bit(x),))
+            Member(f"sep{x}", bit(x), STAGED_GROUPS, (bit(x),))
         )
         fam = CoverFamily(fam.ground, tuple(extra))
         ok, wit = is_T0_separating(fam)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .bits import bit, iter_bits, mask_of, subset, transpose
+from .bits import bit, iter_bits, mask_of, subset
 from .errors import (
     NonUniqueExtension,
     NotAHom,
@@ -22,7 +22,7 @@ from .lattice import (
     _disjoint_masks,
     _generator_ups,
     _order_rows,
-    _point_meets,
+    _pullbacks,
     atoms,
     is_normal,
     is_separative,
@@ -56,25 +56,12 @@ class LatticeHom:
         bitsets of source elements, computed once per hom object for the
         same reason as law.  These are the columns P_g of verify_hom's
         dual check, and for the atoms g the preimages of the points of
-        ult(target) (see _induced).
-
-        A keyed target reads them off its points: a key holds m_x iff it
-        holds x, so h⁻¹(↑m_x) = {a : x ∈ key h(a)}, column x of the image
-        keys read as a bit matrix, and the m_x are the join-irreducibles
-        (lattice.join_irreducibles).  A table target reads column g of the
-        down-rows of the images: g <= h(a) iff g ∈ ↓h(a).  Either way one
-        transpose of n_K rows; every entry of the map must be an element
-        id of the target.
+        ult(target) (see _induced).  lattice._pullbacks reads them, off
+        the points of a keyed target and off the down-rows of a table
+        one, with one transpose of n_K rows; every entry of the map must
+        be an element id of the target.
         """
-        L, f = self.target, self.map
-        if L.keys is not None:
-            keys = L.keys
-            cols = transpose([keys[y] for y in f], keys[L.top].bit_length())
-            points = iter_bits(keys[L.top] & ~keys[L.bottom])
-            index = L._key_index
-            return {index[m]: cols[x] for m, x in zip(_point_meets(L), points)}
-        cols = transpose([L.down_mask(y) for y in f], L.n)
-        return {g: cols[g] for g in join_irreducibles(L)}
+        return _pullbacks(self.target, self.map)
 
     def preimage_filter(self, p) -> int:
         """Bitset h⁻¹(p) in the source, for p a filter bitset / FilterSet."""
@@ -129,13 +116,14 @@ def verify_hom(h: LatticeHom) -> tuple:
     The P_j are h.pullbacks, one transpose of n_K rows, and the prime
     filters of K its generator up-rows (lattice._generator_ups), so the
     check costs O(n_K·|J(L)|) instead of the n_K²/2 pairs of the scan,
-    with no meet or join and, on keyed lattices, no order rows.  A keyed
-    target is distributive by construction; a table target is iff its
-    join-primes are its join-irreducibles, the route of is_distributive,
-    read here without the witness search is_distributive runs on a
-    non-distributive lattice.  On a non-distributive target, on a map
-    entry that is no element id of L, and whenever the dual check fails,
-    the pair scan runs, so the flag and the first witness are the scan's.
+    with no meet or join and, on keyed lattices, no order rows.  The
+    target is distributive iff its join-primes are its join-irreducibles,
+    the route of is_distributive, read here without the witness search
+    is_distributive runs on a non-distributive lattice; on a keyed
+    target the two are one tuple, with no rows.  On a non-distributive
+    target, on a map entry that is no element id of L, and whenever the
+    dual check fails, the pair scan runs, so the flag and the first
+    witness are the scan's.
     """
     K, L, f = h.source, h.target, h.map
     if len(f) != K.n:
@@ -161,7 +149,7 @@ def _dual_law_holds(h: LatticeHom) -> bool:
     K, L, f = h.source, h.target, h.map
     if min(f) < 0 or max(f) >= L.n:
         return False
-    if L.keys is None and join_primes(L) != join_irreducibles(L):
+    if join_primes(L) != join_irreducibles(L):
         return False
     primes = set(_generator_ups(K, join_primes(K)))
     return all(col in primes for col in h.pullbacks.values())

@@ -5,24 +5,32 @@ Elements are dense integer ids in input order.  All element sets are bitsets
 
 * table mode: the full order relation as up and down rows, plus two dicts
   from row to element id: a∧b is the element whose down-row is
-  down[a] & down[b], a∨b the one whose up-row is up[a] & up[b];
+  down[a] & down[b], a∨b the one whose up-row is up[a] & up[b].  Its one
+  way in is from_up_rows, whose rows generate the order: it takes their
+  reflexive-transitive closure itself;
 * keyed mode: every element carries a set-key (a bitmask over some ground
   set) such that leq is key inclusion and meet/join are key & / |.  This is
   how generated down-set lattices and powerset algebras are represented.
 
 Both modes answer meet and join with one dict lookup, at every size up to
-SIZE_CAP.
+SIZE_CAP.  A keyed lattice answers leq, meet and join by its keys even
+once materialize_rows has given it order rows.
 
-A keyed lattice is a ring of sets: a family closed under ∩ and ∪.  It is
-read through its ground points.  For a point x of top∖bottom, m_x is the
-intersection of the keys holding x (_point_meets, n·|G| big-int ANDs for n
-keys over a ground set G), and holds_x is the bitset of elements whose
-key holds x, the up-row of m_x (_point_holds, the columns of the keys
-read as an n × |G| bit matrix).  from_keys checks closure with one key lookup per key and point
-instead of one per pair of keys; the m_x are the join-irreducibles, which
-are also the join-primes, and the lattice is distributive by
-construction.  The other structural answers are read off the same points,
-each argued in its docstring:
+A keyed lattice is a ring of sets: a family closed under ∩ and ∪.  Its one
+way in is from_keys, and it is read through its ground points.  For a
+point x of top∖bottom, m_x is the intersection of the keys holding x
+(_point_meets, n·|G| big-int ANDs for n keys over a ground set G), and
+holds_x is the bitset of elements whose key holds x, the up-row of m_x
+(_point_holds, the columns of the keys read as an n × |G| bit matrix).
+Both are dicts {x: ...} in point order, and they are the only code that
+walks top∖bottom.  homs, spaces, filters, io and cli reach the points
+only through the helpers below (_generator_ups, _order_rows, _pullbacks),
+and read neither the keys nor their index.
+from_keys checks closure with one key lookup per key and point instead
+of one per pair of keys; the m_x are the join-irreducibles, which are
+also the join-primes, and the lattice is distributive by construction.
+The other structural answers are read off the same points, each argued
+in its docstring:
 
 * atoms: the m_x of the minimal points, O(|G|²) key comparisons;
 * is_boolean: distributive (by construction) with every join-irreducible
@@ -85,7 +93,7 @@ class FiniteLattice:
     )
 
     def __init__(self):
-        raise TypeError("use load_lattice / FiniteLattice.from_keys")
+        raise TypeError("use load_lattice, from_up_rows or from_keys")
 
     # -- constructors -------------------------------------------------
 
@@ -109,16 +117,19 @@ class FiniteLattice:
         names: Sequence[str],
         up_rows: Sequence[int],
         name: Optional[str] = None,
-        check: bool = True,
     ) -> "FiniteLattice":
-        """Build from the full order relation (up_rows[i] = {j : i <= j}).
+        """Build from rows that generate the order: element i lies below
+        every j of up_rows[i], and the order is their reflexive-transitive
+        closure (bits.reflexive_transitive_closure), so the rows of a
+        partial order come back unchanged and a relation of covers or a
+        `leq` file's pairs give the order they generate.  A row must hold
+        element ids below len(names) only, else ValueError names its
+        element.
 
-        With check, the rows are first checked, element by element, to be
-        reflexive, antisymmetric and transitive.  Without it they must be
-        a preorder already (load_lattice takes the reflexive-transitive
-        closure); antisymmetry is tested at every call after the
-        transpose: up[i] & down[i] holds some j != i exactly when i <= j
-        <= i, and the lowest such j is the witness.  Antisymmetry also
+        After the closure the relation is reflexive and transitive, and
+        antisymmetry is tested after the transpose: up[i] & down[i] holds
+        some j != i exactly when i <= j <= i, and the lowest such j, for
+        the lowest such i, is the NotAPoset witness.  Antisymmetry also
         makes the rows of distinct elements distinct, so the dicts from
         row to id below are well defined.
 
@@ -156,20 +167,14 @@ class FiniteLattice:
             raise TooLarge(f"{n} elements exceeds the cap of {SIZE_CAP}")
         if len(set(names)) != n:
             raise ValueError("element names must be unique")
-        up = list(up_rows)
-        if check:
-            for i in range(n):
-                if not up[i] >> i & 1:
-                    raise NotAPoset(f"relation not reflexive at {names[i]}")
-                for j in iter_bits(up[i]):
-                    if j != i and up[j] >> i & 1:
-                        raise NotAPoset(
-                            f"antisymmetry fails on {names[i]}, {names[j]}"
-                        )
-                    if not subset(up[j], up[i]):
-                        raise NotAPoset(
-                            f"transitivity fails at {names[i]} <= {names[j]}"
-                        )
+        if len(up_rows) != n:
+            raise ValueError(f"{len(up_rows)} rows for {n} elements")
+        for i, row in enumerate(up_rows):
+            if row >> n:
+                raise ValueError(
+                    f"row of {names[i]} holds an element id outside 0..{n - 1}"
+                )
+        up = reflexive_transitive_closure(up_rows)
         down = transpose(up)
         for i in range(n):
             both = up[i] & down[i] & ~bit(i)
@@ -274,9 +279,9 @@ class FiniteLattice:
     # -- order and operations -----------------------------------------
 
     def leq(self, a: int, b: int) -> bool:
-        if self._up is not None:
-            return bool(self._up[a] >> b & 1)
-        return subset(self.keys[a], self.keys[b])
+        if self.keys is not None:
+            return subset(self.keys[a], self.keys[b])
+        return bool(self._up[a] >> b & 1)
 
     def meet(self, a: int, b: int) -> int:
         if self.keys is not None:
@@ -353,7 +358,8 @@ class FiniteLattice:
         if self.names != other.names:
             return False
         if self.keys is not None and other.keys is not None:
-            return set(_point_holds(self)) == set(_point_holds(other))
+            mine, theirs = _point_holds(self), _point_holds(other)
+            return set(mine.values()) == set(theirs.values())
         return all(
             self.up_mask(i) == other.up_mask(i) for i in range(self.n)
         )
@@ -372,38 +378,39 @@ def _key_name(key: int) -> str:
     return "{" + ",".join(str(i) for i in iter_bits(key)) + "}"
 
 
-def _point_meets(L: FiniteLattice) -> list:
-    """m_x, the intersection of the keys holding x, for each point x of
-    top∖bottom of a keyed lattice, in point order: n·|G| big-int ANDs."""
+def _point_meets(L: FiniteLattice) -> dict:
+    """{x: m_x}, m_x the intersection of the keys holding x, for the
+    points x of top∖bottom of a keyed lattice, in point order: n·|G|
+    big-int ANDs."""
 
     def compute():
         keys = L.keys
         top = keys[L.top]
-        out = []
+        out = {}
         for x in iter_bits(top & ~keys[L.bottom]):
             xb = 1 << x
             m = top
             for k in keys:
                 if k & xb:
                     m &= k
-            out.append(m)
+            out[x] = m
         return out
 
     return L._memo("point_meets", compute)
 
 
-def _point_holds(L: FiniteLattice) -> list:
-    """holds_x, the bitset of the elements whose key holds x, for each
-    point x of top∖bottom of a keyed lattice, in point order: the
-    columns of the keys read as a bit matrix, n·|G| bits.  A key holds x
-    iff it holds m_x (it holds m_x once it holds x, and x ∈ m_x), so
-    holds_x is the up-row of the element m_x."""
+def _point_holds(L: FiniteLattice) -> dict:
+    """{x: holds_x}, holds_x the bitset of the elements whose key holds
+    x, for the points x of top∖bottom of a keyed lattice, in point order:
+    the columns of the keys read as a bit matrix, n·|G| bits.  A key
+    holds x iff it holds m_x (it holds m_x once it holds x, and x ∈ m_x),
+    so holds_x is the up-row of the element m_x."""
 
     def compute():
         keys = L.keys
         top = keys[L.top]
         cols = transpose(keys, top.bit_length())
-        return [cols[x] for x in iter_bits(top & ~keys[L.bottom])]
+        return {x: cols[x] for x in iter_bits(top & ~keys[L.bottom])}
 
     return L._memo("point_holds", compute)
 
@@ -430,8 +437,7 @@ def _order_rows(L: FiniteLattice, ids, up: bool):
         return
     full = L.full_mask
     keys = L.keys
-    ground = list(iter_bits(keys[L.top] & ~keys[L.bottom]))
-    points = list(zip(ground, _point_holds(L)))
+    points = _point_holds(L).items()
     for a in ids:
         ka = keys[a]
         if up:
@@ -446,13 +452,6 @@ def _order_rows(L: FiniteLattice, ids, up: bool):
                 if not ka >> g & 1:
                     row |= h
             yield full & ~row
-
-
-def _point_table(L: FiniteLattice, rows: list) -> dict:
-    """{x: rows[i]} for the i-th point x of top∖bottom of a keyed lattice,
-    with rows one of _point_meets(L) or _point_holds(L)."""
-    keys = L.keys
-    return dict(zip(iter_bits(keys[L.top] & ~keys[L.bottom]), rows))
 
 
 def _meets_with_meet_irreducibles(up, down, meet_of, join_of) -> bool:
@@ -494,8 +493,7 @@ def _is_ring_of_sets(L: FiniteLattice) -> bool:
     A key k holding x needs no lookup: m_x ⊆ k, so k | m_x = k."""
     index = L._key_index
     keys = L.keys
-    points = iter_bits(keys[L.top] & ~keys[L.bottom])
-    for x, m in zip(points, _point_meets(L)):
+    for x, m in _point_meets(L).items():
         xb = 1 << x
         for k in keys:
             if not k & xb and k | m not in index:
@@ -524,9 +522,10 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
 
     The description holds "elements" (unique strings), exactly one of
     "covers" or "leq", each a list of [lo, hi] name pairs, and an optional
-    string "name" (absent or null for none).  leq is completed to its
-    reflexive-transitive closure, and from_up_rows checks that the result
-    is antisymmetric, bounded and has every binary meet.
+    string "name" (absent or null for none).  Either way the pairs are
+    rows that generate the order: from_up_rows takes their
+    reflexive-transitive closure and checks that it is antisymmetric,
+    bounded and has every binary meet.
     """
     if not isinstance(spec, Mapping) or "elements" not in spec:
         raise ValueError('lattice description needs an "elements" list')
@@ -570,23 +569,15 @@ def load_lattice(spec: Mapping) -> FiniteLattice:
     name = spec.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError('lattice field "name" is not a string')
-    return FiniteLattice.from_up_rows(
-        names,
-        reflexive_transitive_closure(rows),
-        name=name,
-        check=False,
-    )
+    return FiniteLattice.from_up_rows(names, rows, name=name)
 
 
 def chain_lattice(k: int, name: Optional[str] = None) -> FiniteLattice:
-    """Chain with k elements c0 < c1 < ... (k >= 1).  Row i is
-    {i, ..., k-1}, a total order by construction, so the per-element
-    poset check is skipped."""
+    """Chain with k elements c0 < c1 < ... (k >= 1): row i is
+    {i, ..., k-1}."""
     names = [f"c{i}" for i in range(k)]
     rows = [mask_of(range(i, k)) for i in range(k)]
-    return FiniteLattice.from_up_rows(
-        names, rows, name=name or f"chain{k}", check=False
-    )
+    return FiniteLattice.from_up_rows(names, rows, name=name or f"chain{k}")
 
 
 def powerset_lattice(k: int, name: Optional[str] = None) -> FiniteLattice:
@@ -666,9 +657,29 @@ def _generator_ups(L: FiniteLattice, gens) -> list:
     table lattice reads its up-rows.
     """
     if L.keys is not None:
-        up_of = dict(zip(_point_meets(L), _point_holds(L)))
+        holds = _point_holds(L)
+        up_of = {m: holds[x] for x, m in _point_meets(L).items()}
         return [up_of[L.keys[g]] for g in gens]
     return [L.up_mask(g) for g in gens]
+
+
+def _pullbacks(L: FiniteLattice, images) -> dict:
+    """{g: {i : g <= images[i]}} for the join-irreducibles g of L, as
+    bitsets over the positions i of images, a sequence of element ids
+    of L.
+
+    A keyed L reads them off its points: a key holds m_x iff it holds x,
+    so {i : m_x <= images[i]} is column x of the image keys read as a
+    bit matrix, and the m_x are the join-irreducibles (join_irreducibles).
+    A table L reads column g of the down-rows of the images: g <= y iff
+    g ∈ ↓y.  Either way one transpose of len(images) rows.
+    """
+    if L.keys is not None:
+        keys, index = L.keys, L._key_index
+        cols = transpose([keys[y] for y in images], keys[L.top].bit_length())
+        return {index[m]: cols[x] for x, m in _point_meets(L).items()}
+    cols = transpose([L.down_mask(y) for y in images], L.n)
+    return {g: cols[g] for g in join_irreducibles(L)}
 
 
 def _disjoint_masks(L: FiniteLattice) -> list:
@@ -778,7 +789,7 @@ def _keyed_normal(L: FiniteLattice):
     """is_normal of a keyed lattice, read off its points (see there)."""
     keys = L.keys
     low = keys[L.bottom]
-    meets = _point_table(L, _point_meets(L))
+    meets = _point_meets(L)
     above = dict.fromkeys(meets, 0)  # above[x] = ↑x = {z : x ∈ m_z}
     for z, m in meets.items():
         for x in iter_bits(m & ~low):
@@ -790,7 +801,7 @@ def _keyed_normal(L: FiniteLattice):
         for y in pts[i + 1 :]
     ):
         return (True, None)
-    holds = _point_table(L, _point_holds(L))
+    holds = _point_holds(L)
     full = L.full_mask
     for a, k in enumerate(keys):
         hit = up = down = touch = 0
@@ -838,7 +849,7 @@ def is_separative(L: FiniteLattice):
             rest = keys[L.top] & ~low & ~minimal
             for a, k in enumerate(keys):
                 if k & rest:
-                    holds = _point_table(L, _point_holds(L))
+                    holds = _point_holds(L)
                     common = up = L.full_mask
                     for x in iter_bits(k & ~low):
                         up &= holds[x]
@@ -926,10 +937,7 @@ def opposite(L: FiniteLattice) -> FiniteLattice:
     """Order reversed, meet/join and bounds swapped."""
     L.materialize_rows()
     return FiniteLattice.from_up_rows(
-        L.names,
-        L._down,
-        name=f"op({L.name})" if L.name else None,
-        check=False,
+        L.names, L._down, name=f"op({L.name})" if L.name else None
     )
 
 
@@ -970,7 +978,6 @@ def attach_bottom(L: FiniteLattice, new_name: str = "s") -> FiniteLattice:
         list(L.names) + [new_name],
         rows,
         name=f"1+{L.name}" if L.name else None,
-        check=False,
     )
 
 
@@ -991,7 +998,7 @@ def atoms(L: FiniteLattice) -> tuple:
     def compute():
         if L.keys is not None:
             low = L.keys[L.bottom]
-            meets = _point_table(L, _point_meets(L))
+            meets = _point_meets(L)
             index = L._key_index
             found = {
                 index[m]
@@ -1033,7 +1040,7 @@ def join_irreducibles(L: FiniteLattice) -> tuple:
     def compute():
         if L.keys is not None:
             index = L._key_index
-            return tuple(sorted({index[m] for m in _point_meets(L)}))
+            return tuple(sorted({index[m] for m in _point_meets(L).values()}))
         down = L._down
         rows = set(down)
         return tuple(

@@ -517,6 +517,105 @@ def test_covers_chain_at_size_cap_loads():
     assert L.up_mask(SIZE_CAP - 2) == (1 << (SIZE_CAP - 1)) - 1
 
 
+
+def _cover_rows(up):
+    """The covering relation of a partial order given by its up-rows: j
+    covers i when i < j with nothing strictly between."""
+    out = []
+    for i, row in enumerate(up):
+        strict = row & ~(1 << i)
+        above = 0
+        for j in iter_bits(strict):
+            above |= up[j] & ~(1 << j)
+        out.append(strict & ~above)
+    return out
+
+
+def _parts(L):
+    return L._up, L._down, L.bottom, L.top, _tables(L)
+
+
+def test_generating_rows_build_the_lattice_of_their_closure(corpus):
+    """from_up_rows on the rows of a lattice order, ids shuffled, keeps
+    them; on its covers alone or its strict order (no self-loops) it
+    builds the same lattice: rows, bounds and meet and join tables."""
+    rng = random.Random(25)
+    lattices = list(corpus.values())
+    lattices += [gen.random_downset_lattice(1 + s % 6, s) for s in range(30)]
+    for L in lattices:
+        perm = list(range(L.n))
+        rng.shuffle(perm)
+        names = [None] * L.n
+        for i, p in enumerate(perm):
+            names[p] = L.names[i]
+        closed = _relabel([L.up_mask(a) for a in range(L.n)], perm)
+        want = FiniteLattice.from_up_rows(names, closed)
+        assert want._up == closed
+        strict = [row & ~(1 << i) for i, row in enumerate(closed)]
+        for rows in (_cover_rows(closed), strict):
+            got = FiniteLattice.from_up_rows(names, rows)
+            assert _parts(got) == _parts(want), L
+
+
+def _outcome(build, *args):
+    """The lattice's parts, or the type, message and witness raised."""
+    try:
+        return _parts(build(*args))
+    except WallmanError as e:
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+def test_from_up_rows_fails_as_load_lattice():
+    """Seeded relations with self-loops and planted cycles: from_up_rows
+    on the rows and load_lattice on the same pairs as `leq` give the same
+    lattice or the same error, and a cycle raises the NotAPoset of the
+    per-bit scan over the closure."""
+    cycles = set()
+    for rows, cycle in _seeded_relations():
+        names = [f"e{i}" for i in range(len(rows))]
+        spec = {
+            "elements": names,
+            "leq": [[names[i], names[j]] for i, r in enumerate(rows)
+                    for j in iter_bits(r)],
+        }
+        got = _outcome(FiniteLattice.from_up_rows, names, rows)
+        assert got == _outcome(load_lattice, spec), rows
+        if cycle:
+            want = _ref_antisymmetry(names, ref_closure(rows))
+            assert got == (NotAPoset, want, None), rows
+            cycles.add(cycle)
+    assert cycles == {2, 3, 4}
+
+
+@pytest.mark.parametrize(
+    "rows, element",
+    [([0b111, 0b110], "a"), ([0b11, 0b110], "b"), ([0b11, -1], "b")],
+)
+def test_from_up_rows_rejects_an_id_outside_the_elements(rows, element):
+    with pytest.raises(ValueError, match=f"row of {element} holds an element id"):
+        FiniteLattice.from_up_rows(["a", "b"], rows)
+
+
+def test_from_up_rows_rejects_a_row_count_unlike_the_names():
+    with pytest.raises(ValueError, match="1 rows for 2 elements"):
+        FiniteLattice.from_up_rows(["a", "b"], [0b11])
+
+
+def test_built_rows_are_kept(corpus):
+    """chain_lattice, opposite and attach_bottom hand from_up_rows rows
+    that are already a partial order, and the lattice keeps them."""
+    for k in range(1, 40):
+        C = chain_lattice(k)
+        assert C._up == [mask_of(range(i, k)) for i in range(k)]
+        assert C._down == [mask_of(range(i + 1)) for i in range(k)]
+    for L in corpus.values():
+        n = L.n
+        M = opposite(L)
+        assert (M._up, M._down) == (L._down, L._up)
+        B = attach_bottom(L)
+        assert B._up == L._up + [(1 << (n + 1)) - 1]
+        assert B._down == [row | 1 << n for row in L._down] + [1 << n]
+
 def ref_meetless_pair(names, up):
     """(message, witness) of the first pair (a, b), a < b, in id order
     without a meet, by _scan_bound per pair; None for a lattice."""
@@ -878,7 +977,7 @@ def row_route(L):
     """A table-mode copy of keyed L with the same ids, whose structure is
     read off the order rows."""
     rows = [L.up_mask(a) for a in range(L.n)]
-    return FiniteLattice.from_up_rows(L.names, rows, check=False)
+    return FiniteLattice.from_up_rows(L.names, rows)
 
 
 def test_keyed_structure_matches_the_row_route():
@@ -1149,7 +1248,7 @@ def test_atoms_and_irreducibles(powerset3, chain3, fivepoint):
 def test_keyed_atoms_match_table_route():
     L = gen.random_downset_lattice(6, seed=11)
     rows = [L.up_mask(i) for i in range(L.n)]
-    T = FiniteLattice.from_up_rows(L.names, rows, check=True)
+    T = FiniteLattice.from_up_rows(L.names, rows)
     assert atoms(L) == atoms(T)
     assert join_irreducibles(L) == join_irreducibles(T)
 

@@ -142,6 +142,32 @@ def test_cli_names_no_private_function_of_another_module():
     assert not private, private
 
 
+def test_keyed_points_walked_in_lattice_alone():
+    """homs.py, spaces.py, filters.py, io.py and cli.py reach a keyed
+    lattice's points through lattice.py's helpers: they name no _point_*
+    helper, by import, by name or by attribute, and read neither a
+    lattice's keys nor its key index.  A call x.keys() is a dict's method,
+    not the lattice's tuple of keys, and is allowed."""
+    for module in ("homs.py", "spaces.py", "filters.py", "io.py", "cli.py"):
+        tree = ast.parse((SRC / module).read_text())
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        names, attrs = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and id(node) not in called:
+                attrs.add(node.attr)
+        bad = {
+            name
+            for name in names | attrs
+            if name.startswith("_point_") or name == "_key_index"
+        }
+        bad |= attrs & {"keys"}
+        assert not bad, (module, bad)
+
+
 def test_centered_enumeration_only_in_centered_subsets():
     calls = calls_to("_centered")
     assert {(module, fn) for module, fn, _ in calls} == {
@@ -288,7 +314,7 @@ def test_keyed_point_routes_read_no_rows():
     through the package and along the keyed branch of every function that
     has one, none of the row helpers."""
     index = function_index()
-    rows = {"materialize_rows", "_join_to_top_masks", "up_mask"}
+    rows = {"materialize_rows", "_join_to_top_masks", "up_mask", "down_mask"}
     entries = (
         "atoms",
         "is_boolean",
