@@ -79,12 +79,13 @@ def reflexive_transitive_closure(rows) -> list:
     (if it is not yet) and acc |= up[j], which holds all j reaches.  A
     successor already in acc is skipped: it lies in a closed row, so all
     it reaches is there too.  So the result is the closure, every row ORed
-    in is final, and no row is swept twice.  When the ids list the
-    elements in a linear extension (lower elements first), as
-    io.dump_lattice and gen write them, the lowest successor left is
-    always a cover, so a transitively closed `leq` relation costs one OR
-    per cover instead of Warshall's n² bit tests.  Edges i -> j with
-    j > i, as gen.random_poset draws them, find j closed already.
+    in is final, and no row is swept twice.  The covers io.dump_lattice
+    writes cost one OR each, since no cover of i lies above another.
+    When the ids list the elements in a linear extension (lower elements
+    first), as gen builds them, the lowest successor left is always a
+    cover, so a transitively closed `leq` relation costs one OR per
+    cover as well, instead of Warshall's n² bit tests.  Edges i -> j
+    with j > i, as gen.random_poset draws them, find j closed already.
 
     A successor that is still open on the stack is a back edge: the
     relation has a cycle, so it is no partial order and post-order rows

@@ -127,26 +127,6 @@ def is_T0_separating(F: CoverFamily):
 # centered subcollections
 
 
-def _centered(
-    labels: Sequence, points: Sequence[int], ground_mask: int
-) -> list:
-    """Every centered choice of members, as (label tuple, intersection) in
-    depth-first pop order, the empty choice first; labels[i] names the
-    member with point set points[i]."""
-    if len(points) > _CENTERED_ENUM_CAP:
-        raise TooLarge("too many members for centered enumeration")
-    out = []
-    stack = [((), ground_mask, 0)]
-    while stack:
-        chosen, inter, start = stack.pop()
-        out.append((chosen, inter))
-        for i in range(start, len(points)):
-            nxt = inter & points[i]
-            if nxt:
-                stack.append((chosen + (labels[i],), nxt, i + 1))
-    return out
-
-
 @dataclass(frozen=True)
 class CenteredRankReport:
     max_centered_size: int
@@ -163,8 +143,9 @@ def centered_poset_rank(
     a point x, that is iff it lies inside M_x = {i : x ∈ members[i]}.  So
     the largest centered ones are the M_x of size max ord, and the chain
     length is max ord.  Of those the lexicographically largest index
-    tuple is taken: in _centered's depth-first pop order children come
-    largest index first, so it is the first maximum there.  O(|G|·|M|).
+    tuple is taken: in centered_subsets' depth-first pop order children
+    come largest index first, so it is the first maximum there.
+    O(|G|·|M|).
     """
     stars = [
         tuple(i for i, m in enumerate(members) if m.points >> x & 1)
@@ -202,11 +183,6 @@ def witness_from_phi(members: Sequence[Member], phi: dict) -> CoverFamily:
             entries.append(Member(u, m.points, g, m.stages))
     ground = tuple(str(i) for i in range(ground_size))
     return CoverFamily(ground, tuple(entries))
-
-
-def regroup(F: CoverFamily, phi: dict) -> CoverFamily:
-    fam = witness_from_phi(F.members, phi)
-    return CoverFamily(F.ground, fam.members)
 
 
 def weakly_sigma_point_finite(
@@ -350,11 +326,25 @@ def gulko_lt_brute(
 
 
 def centered_subsets(F: CoverFamily) -> list:
-    """All centered id sets, as (frozenset, intersection mask) pairs."""
+    """Every centered choice of members, as (id set, member mask) pairs in
+    depth-first pop order, the empty choice first.  Bit i of the member
+    mask is the i-th member id in sorted order, its bit position in
+    _order_masks."""
     by_id = F.by_id()
     ids = sorted(by_id)
-    pairs = _centered(ids, [by_id[v].points for v in ids], F.ground_mask)
-    return [(frozenset(chosen), inter) for chosen, inter in pairs]
+    if len(ids) > _CENTERED_ENUM_CAP:
+        raise TooLarge("too many members for centered enumeration")
+    points = [by_id[v].points for v in ids]
+    out = []
+    stack = [((), 0, F.ground_mask, 0)]
+    while stack:
+        chosen, mask, inter, start = stack.pop()
+        out.append((frozenset(chosen), mask))
+        for i in range(start, len(ids)):
+            nxt = inter & points[i]
+            if nxt:
+                stack.append((chosen + (ids[i],), mask | 1 << i, nxt, i + 1))
+    return out
 
 
 def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
@@ -429,8 +419,7 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
     supersets of a last level that is level 0, is then unused.
     """
     pos, need, hit = _order_masks(F, phi, u, mode)
-    sets = [s for s, _ in centered_subsets(F)]
-    masks = [mask_of(pos[v] for v in s) for s in sets]
+    sets, masks = zip(*centered_subsets(F))
     holders = transpose(masks, len(pos))
     everything = bit(len(sets)) - 1
     level = []

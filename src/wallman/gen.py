@@ -15,7 +15,6 @@ from .bits import (
     bit,
     popcount,
     reflexive_transitive_closure,
-    subset,
     transpose,
     union_closure,
 )
@@ -85,15 +84,13 @@ def random_boolean_hom(
     src_atoms = atoms(src)
     tgt_atoms = atoms(tgt)
     assign = {b: rng.choice(src_atoms) for b in tgt_atoms}
-    key_index = {k: i for i, k in enumerate(tgt.keys)}
     images = []
     for a in range(src.n):
-        ka = src.keys[a]
-        img = 0
+        img = tgt.bottom
         for b in tgt_atoms:
-            if subset(src.keys[assign[b]], ka):
-                img |= tgt.keys[b]
-        images.append(key_index[img])
+            if src.leq(assign[b], a):
+                img = tgt.join(img, b)
+        images.append(img)
     return LatticeHom(src, tgt, tuple(images))
 
 

@@ -72,9 +72,6 @@ class LatticeHom:
                 out |= bit(a)
         return out
 
-    def image_ids(self) -> tuple:
-        return tuple(sorted(set(self.map)))
-
     def kernel(self) -> tuple:
         """Elements mapped to 0."""
         z = self.target.bottom
@@ -93,9 +90,10 @@ def compose(g: LatticeHom, h: LatticeHom) -> LatticeHom:
 
 
 def verify_hom(h: LatticeHom) -> tuple:
-    """Is h a lattice homomorphism?  Returns (flag, witness): the size,
-    bottom and top checks, then the first failing pair of the
-    definitional scan, ("meet", a, b) or ("join", a, b) with a < b.
+    """Is h a lattice homomorphism?  Returns (flag, witness): the size
+    check, ("range", a) for the first a whose image is no element id of
+    the target, the bottom and top checks, then the first failing pair of
+    the definitional scan, ("meet", a, b) or ("join", a, b) with a < b.
 
     On a distributive target the law is decided through the dual
     (Birkhoff duality; Davey & Priestley, Introduction to Lattices and
@@ -121,13 +119,15 @@ def verify_hom(h: LatticeHom) -> tuple:
     the route of is_distributive, read here without the witness search
     is_distributive runs on a non-distributive lattice; on a keyed
     target the two are one tuple, with no rows.  On a non-distributive
-    target, on a map entry that is no element id of L, and whenever the
-    dual check fails, the pair scan runs, so the flag and the first
-    witness are the scan's.
+    target, and whenever the dual check fails, the pair scan runs, so the
+    flag and the first witness are the scan's.
     """
     K, L, f = h.source, h.target, h.map
     if len(f) != K.n:
         return (False, ("size", len(f)))
+    for a, fa in enumerate(f):
+        if not 0 <= fa < L.n:
+            return (False, ("range", a))
     if f[K.bottom] != L.bottom:
         return (False, ("bottom", K.bottom))
     if f[K.top] != L.top:
@@ -144,11 +144,9 @@ def verify_hom(h: LatticeHom) -> tuple:
 
 
 def _dual_law_holds(h: LatticeHom) -> bool:
-    """The dual check of verify_hom, for an h that keeps the bounds:
-    True only if h is a homomorphism."""
-    K, L, f = h.source, h.target, h.map
-    if min(f) < 0 or max(f) >= L.n:
-        return False
+    """The dual check of verify_hom, for an h into the element ids of its
+    target that keeps the bounds: True only if h is a homomorphism."""
+    K, L = h.source, h.target
     if join_primes(L) != join_irreducibles(L):
         return False
     primes = set(_generator_ups(K, join_primes(K)))

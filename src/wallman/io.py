@@ -1,7 +1,8 @@
 """File formats: lattice, homomorphism, cover-family and report dumps.
 
 Everything is JSON.  A lattice file holds {"name", "elements", and exactly
-one of "covers"/"leq" as [lo, hi] name pairs}.  A hom file holds
+one of "covers"/"leq" as [lo, hi] name pairs}; dump_lattice writes the
+covers.  A hom file holds
 {"source", "target", "map": [[x, h(x)], ...]} where source/target are
 builtin fixture names or paths resolved next to the hom file.  A family
 file holds {"ground": [...], "members": [{"id", "set", "group",
@@ -19,7 +20,7 @@ from .bits import iter_bits
 from .covers import CoverFamily, Member
 from .filters import FilterSet
 from .homs import LatticeHom
-from .lattice import FiniteLattice, load_lattice
+from .lattice import FiniteLattice, _order_rows, load_lattice
 from .spaces import WallmanSpace
 
 FIXTURE_NAMES = (
@@ -60,17 +61,32 @@ def builtin_corpus() -> list:
     return [builtin_lattice(n) for n in FIXTURE_NAMES]
 
 
-def dump_lattice(L: FiniteLattice) -> dict:
-    L.materialize_rows()
+def _covers(L: FiniteLattice) -> list:
+    """The cover pairs (i, j), j above i with nothing between, in (i, j)
+    order.  j covers i iff j lies in ↑i∖{i} and in no ↑k∖{k} for a k of
+    ↑i∖{i}, so the covers of i are ↑i∖{i} minus the union of those
+    ↑k∖{k}.  Read off the up-rows alone (lattice._order_rows): no
+    down-row is built and no row is kept on L."""
+    strict = [
+        row & ~(1 << i)
+        for i, row in enumerate(_order_rows(L, range(L.n), True))
+    ]
     pairs = []
-    for i in range(L.n):
-        for j in iter_bits(L.up_mask(i)):
-            if j != i:
-                pairs.append([L.names[i], L.names[j]])
+    for i, above in enumerate(strict):
+        shadow = 0
+        for k in iter_bits(above):
+            shadow |= strict[k]
+        pairs.extend((i, j) for j in iter_bits(above & ~shadow))
+    return pairs
+
+
+def dump_lattice(L: FiniteLattice) -> dict:
+    """A lattice file: its name, its elements and its covers."""
+    names = L.names
     return {
         "name": L.name,
-        "elements": list(L.names),
-        "leq": pairs,
+        "elements": list(names),
+        "covers": [[names[i], names[j]] for i, j in _covers(L)],
     }
 
 
@@ -226,15 +242,9 @@ def load_phi_file(path: str) -> dict:
 
 def dot_hasse(L: FiniteLattice) -> str:
     """Plain Hasse-diagram emitter in dot format (covers as edges)."""
-    L.materialize_rows()
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for i in range(L.n):
         lines.append(f'  n{i} [label="{L.names[i]}"];')
-    for i in range(L.n):
-        strict = L.up_mask(i) & ~(1 << i)
-        for j in iter_bits(strict):
-            between = strict & L.down_mask(j) & ~(1 << j)
-            if between == 0:
-                lines.append(f"  n{i} -> n{j};")
+    lines += [f"  n{i} -> n{j};" for i, j in _covers(L)]
     lines.append("}")
     return "\n".join(lines)

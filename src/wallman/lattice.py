@@ -335,9 +335,6 @@ class FiniteLattice:
         except ValueError:
             raise KeyError(f"no element named {name!r}") from None
 
-    def is_set_lattice(self) -> bool:
-        return self.keys is not None
-
     def __repr__(self) -> str:
         label = self.name or "lattice"
         return f"<FiniteLattice {label} n={self.n}>"

@@ -34,11 +34,11 @@ from wallman.covers import (
     ord_count,
     phi_from_witness,
     rank_upper_bound,
-    regroup,
     rosenthal_refinement,
     stabilized_rank,
     weakly_sigma_point_finite,
     wiec_refinement,
+    witness_from_phi,
 )
 from wallman.errors import (
     EmptyPhiValue,
@@ -223,7 +223,7 @@ def test_phi_from_witness():
 @settings(max_examples=30, deadline=None)
 def test_phi_round_trip(F):
     phi = phi_from_witness(F)
-    back = regroup(F, phi)
+    back = witness_from_phi(F.members, phi)
     assert phi_from_witness(back) == phi
     assert {(m.id, m.group) for m in back.members} == {
         (m.id, m.group) for m in F.members
@@ -506,7 +506,9 @@ def test_cantor_pair_injective():
 # Verbatim copies of centered_subsets, centered_poset_rank and
 # max_increasing_chain as they stood when each wrote its own centered-set
 # scan and its own copy of the order step.  The shared-scan versions must
-# return the same lists, chains and warnings, ties included.
+# return the same lists, chains and warnings, ties included; centered_subsets
+# pairs each set with its member mask where the copy pairs it with the
+# intersection of its members.
 
 
 def ref_centered_poset_rank(
@@ -672,7 +674,10 @@ def _extra_groups(phi: dict, seed: int) -> dict:
 
 
 def _assert_search_matches_reference(F: CoverFamily, phi: dict) -> None:
-    assert centered_subsets(F) == ref_centered_subsets(F)
+    ids = sorted(F.by_id())
+    assert centered_subsets(F) == [
+        (s, mask_of(ids.index(v) for v in s)) for s, _ in ref_centered_subsets(F)
+    ]
     n_members = len(F.by_id())
     for u in sorted(F.by_id()):
         for mode in ("membership", "equality"):

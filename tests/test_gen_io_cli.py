@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallman import cli, covers, gen, io, lattice
+from wallman.bits import iter_bits
 from wallman.caps import SIZE_CAP
 from wallman.errors import SizeCap
 from wallman.lattice import _distributivity_scan, is_boolean
@@ -188,6 +189,58 @@ def test_dot_hasse(chain3):
     dot = io.dot_hasse(chain3)
     assert dot.startswith("digraph")
     assert dot.count("->") == 2  # two cover edges in a 3-chain
+
+
+def ref_dot_hasse(L):
+    """dot_hasse as it stood when it found the covers itself, with a
+    between-test per order pair over both row sets."""
+    L.materialize_rows()
+    lines = ["digraph hasse {", "  rankdir=BT;"]
+    for i in range(L.n):
+        lines.append(f'  n{i} [label="{L.names[i]}"];')
+    for i in range(L.n):
+        strict = L.up_mask(i) & ~(1 << i)
+        for j in iter_bits(strict):
+            between = strict & L.down_mask(j) & ~(1 << j)
+            if between == 0:
+                lines.append(f"  n{i} -> n{j};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def covers_corpus():
+    """The fixtures, seeded down-set lattices, Boolean algebras B0..B10
+    and chains, then the opposite and 1+L of a few, as table lattices."""
+    out = io.builtin_corpus()
+    out += [gen.random_downset_lattice(1 + s % 8, s) for s in range(20)]
+    out += [gen.boolean_algebra(k) for k in range(11)]
+    out += [lattice.chain_lattice(k) for k in (1, 2, 9, 40)]
+    for L in out[:11] + out[11:15]:
+        out += [lattice.opposite(L), lattice.attach_bottom(L)]
+    return out
+
+
+def test_lattice_file_holds_the_covers():
+    """dump_lattice writes the covers alone, reads them off the up-rows
+    without keeping rows on a keyed lattice, and load_lattice gives back
+    the same names and up-rows."""
+    for L in covers_corpus():
+        spec = io.dump_lattice(L)
+        assert set(spec) == {"name", "elements", "covers"}, L.name
+        back = lattice.load_lattice(json.loads(json.dumps(spec)))
+        assert (back.name, back.names) == (L.name, L.names)
+        assert [back.up_mask(i) for i in range(back.n)] == [
+            L.up_mask(i) for i in range(L.n)
+        ], L.name
+    B = gen.boolean_algebra(10)
+    assert len(io.dump_lattice(B)["covers"]) == 5120
+    io.dot_hasse(B)
+    assert B._up is None and B._down is None
+
+
+def test_dot_hasse_matches_the_pair_scan():
+    for L in covers_corpus():
+        assert io.dot_hasse(L) == ref_dot_hasse(L), L.name
 
 
 # -- cli --------------------------------------------------------------------

@@ -86,6 +86,22 @@ def test_verify_hom(corpus, quotient):
     assert not flag and wit[0] == "meet"
 
 
+def test_map_entry_outside_the_target_is_a_verdict(corpus):
+    """An image that is no element id of the target, too large or
+    negative, fails as ("range", a) for the first such a, before the
+    bounds are read, on keyed and on table targets alike."""
+    for P in (powerset_lattice(2), corpus["powerset2"]):
+        for f, a in (
+            ((0, 5, 2, 3), 1),
+            ((0, -1, 2, 3), 1),
+            ((0, 1, 4, -2), 2),
+            ((9, 1, 2, 3), 0),
+        ):
+            h = LatticeHom(P, P, f)
+            assert verify_hom(h) == (False, ("range", a)), (P, f)
+            assert h.law == (False, ("range", a))
+
+
 def ref_verify_hom(h):
     """The definitional check: the size, the bounds, then every pair."""
     K, L, f = h.source, h.target, h.map
@@ -207,6 +223,7 @@ def test_keyed_hom_verified_without_lookups(monkeypatch):
     """A hom onto a keyed target is verified with no meet or join; the
     scan runs once the dual check fails, as on a map with one wrong
     entry."""
+    h = gen.random_boolean_hom(gen.boolean_algebra(5), gen.boolean_algebra(4), 3)
     calls = []
     for name in ("meet", "join"):
         orig = getattr(FiniteLattice, name)
@@ -215,7 +232,6 @@ def test_keyed_hom_verified_without_lookups(monkeypatch):
             name,
             lambda self, a, b, orig=orig: calls.append(1) or orig(self, a, b),
         )
-    h = gen.random_boolean_hom(gen.boolean_algebra(5), gen.boolean_algebra(4), 3)
     assert verify_hom(h) == (True, None)
     assert not calls
     bad = mutated(h, random.Random(0))
@@ -618,7 +634,7 @@ def ref_image_separates(h):
     """Definitional scan: every disjoint pair (a, b) of the target has
     some c in the image with a <= c and c ∧ b = 0."""
     L = h.target
-    img = h.image_ids()
+    img = sorted(set(h.map))
     for a in range(L.n):
         for b in range(L.n):
             if L.meet(a, b) != L.bottom:

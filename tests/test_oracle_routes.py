@@ -13,12 +13,12 @@ only once its ring-of-sets check has failed.
 Each public hom entry verifies its input once, through _require_hom, which
 reads the verdict cached in LatticeHom.law, so the entries may call each
 other and a hom object is verified once in all; cli.py names no private
-function of another module.  The centered enumeration _centered serves
-centered_subsets only, which the chain search calls, and the order step
-_step serves gulko_lt only: the chain search makes no pairwise scan of
-centered sets.  On a keyed lattice
-atoms, is_boolean, is_separative, is_normal and build_space read its
-ground points and reach none of the order-row and mask helpers.
+function of another module.  The centered enumeration is written once, in
+centered_subsets, which the chain search calls, and the order step _step
+serves gulko_lt only: the chain search makes no pairwise scan of centered
+sets.  On a keyed lattice atoms, is_boolean, is_separative, is_normal and
+build_space read its ground points and reach none of the order-row and
+mask helpers.
 
 The refinement flags and alexandrov's onto map hold by construction: the
 refinement reaches none of the scans that used to measure its flags, and
@@ -143,12 +143,14 @@ def test_cli_names_no_private_function_of_another_module():
 
 
 def test_keyed_points_walked_in_lattice_alone():
-    """homs.py, spaces.py, filters.py, io.py and cli.py reach a keyed
-    lattice's points through lattice.py's helpers: they name no _point_*
-    helper, by import, by name or by attribute, and read neither a
-    lattice's keys nor its key index.  A call x.keys() is a dict's method,
-    not the lattice's tuple of keys, and is allowed."""
-    for module in ("homs.py", "spaces.py", "filters.py", "io.py", "cli.py"):
+    """homs.py, spaces.py, filters.py, io.py, cli.py and gen.py reach a
+    keyed lattice's points through lattice.py's helpers: they name no
+    _point_* helper, by import, by name or by attribute, and read neither
+    a lattice's keys nor its key index.  A call x.keys() is a dict's
+    method, not the lattice's tuple of keys, and is allowed."""
+    for module in (
+        "homs.py", "spaces.py", "filters.py", "io.py", "cli.py", "gen.py"
+    ):
         tree = ast.parse((SRC / module).read_text())
         called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
         names, attrs = set(), set()
@@ -169,10 +171,19 @@ def test_keyed_points_walked_in_lattice_alone():
 
 
 def test_centered_enumeration_only_in_centered_subsets():
-    calls = calls_to("_centered")
-    assert {(module, fn) for module, fn, _ in calls} == {
-        ("covers.py", "centered_subsets")
-    }
+    """The centered enumeration is written once: its cap is read by
+    centered_subsets alone, in all of the package."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in top_level_functions(tree):
+            if any(
+                isinstance(n, ast.Name)
+                and n.id.lstrip("_") == "CENTERED_ENUM_CAP"
+                for n in ast.walk(fn)
+            ):
+                readers.add((path.name, fn.name))
+    assert readers == {("covers.py", "centered_subsets")}
 
 
 def test_chain_search_enumerates_through_centered_subsets():
