@@ -20,7 +20,7 @@ from .bits import (
 )
 from .caps import MAX_BOOLEAN_ATOMS, MAX_FAMILY_MEMBERS, MAX_POSET_POINTS
 from .covers import CoverFamily, Member, is_T0_separating
-from .errors import SizeCap
+from .errors import DegenerateLattice, SizeCap
 from .homs import LatticeHom
 from .lattice import FiniteLattice, atoms, powerset_lattice
 
@@ -78,11 +78,17 @@ def random_boolean_hom(
     """Random homomorphism between Boolean set algebras.
 
     Built from a random function from target atoms to source atoms, which
-    always yields a bounded lattice homomorphism.
+    always yields a bounded lattice homomorphism.  A source with 0 = 1
+    (B0) has no atom, and a hom sends its one element to both bounds, so
+    it maps to B0 alone: any other target raises DegenerateLattice.
     """
     rng = random.Random(seed)
     src_atoms = atoms(src)
     tgt_atoms = atoms(tgt)
+    if tgt_atoms and not src_atoms:
+        raise DegenerateLattice(
+            f"no homomorphism from {src.name} to {tgt.name}: the source has 0 = 1"
+        )
     assign = {b: rng.choice(src_atoms) for b in tgt_atoms}
     images = []
     for a in range(src.n):

@@ -9,6 +9,7 @@ from typing import Optional
 
 from .bits import bit, iter_bits, mask_of, subset
 from .errors import (
+    DegenerateLattice,
     NonUniqueExtension,
     NotAHom,
     NotComposable,
@@ -56,11 +57,15 @@ class LatticeHom:
         bitsets of source elements, computed once per hom object for the
         same reason as law.  These are the columns P_g of verify_hom's
         dual check, and for the atoms g the preimages of the points of
-        ult(target) (see _induced).  lattice._pullbacks reads them, off
+        ult(target) (see _ult_map).  lattice._pullbacks reads them, off
         the points of a keyed target and off the down-rows of a table
-        one, with one transpose of n_K rows; every entry of the map must
-        be an element id of the target.
+        one, with one transpose of n_K rows.  A map entry that is no
+        element id of the target raises NotAHom with verify_hom's
+        ("range", a) witness, where indexing would wrap or fail.
         """
+        wit = _range_witness(self)
+        if wit is not None:
+            raise NotAHom(f"not a homomorphism, witness {wit}", witness=wit)
         return _pullbacks(self.target, self.map)
 
     def preimage_filter(self, p) -> int:
@@ -125,9 +130,9 @@ def verify_hom(h: LatticeHom) -> tuple:
     K, L, f = h.source, h.target, h.map
     if len(f) != K.n:
         return (False, ("size", len(f)))
-    for a, fa in enumerate(f):
-        if not 0 <= fa < L.n:
-            return (False, ("range", a))
+    wit = _range_witness(h)
+    if wit is not None:
+        return (False, wit)
     if f[K.bottom] != L.bottom:
         return (False, ("bottom", K.bottom))
     if f[K.top] != L.top:
@@ -141,6 +146,13 @@ def verify_hom(h: LatticeHom) -> tuple:
             if f[K.join(a, b)] != L.join(f[a], f[b]):
                 return (False, ("join", a, b))
     return (True, None)
+
+
+def _range_witness(h: LatticeHom) -> Optional[tuple]:
+    """("range", a) for the first source element a whose image is no
+    element id of the target, else None."""
+    n = h.target.n
+    return next((("range", a) for a, fa in enumerate(h.map) if not 0 <= fa < n), None)
 
 
 def _dual_law_holds(h: LatticeHom) -> bool:
@@ -203,7 +215,10 @@ def induced_map(h: LatticeHom) -> SpaceMap:
     """ult(h): ult(L) -> ult(K) for h: K -> L, sending p to the unique
     ultrafilter above the filter h⁻¹(p).  For prime p, h⁻¹(p) is prime,
     and a prime filter of a normal lattice has one ultrafilter above it,
-    so both lattices are checked normal first."""
+    so both lattices are checked normal first.  The points of ult(L) are
+    prime when the atoms of L are join-prime; otherwise a preimage may
+    lie in several ultrafilters, and _ult_map raises
+    NonUniqueExtension."""
     _require_hom(h)
     _require_normal(("source", h.source), ("target", h.target))
     return _induced(h)
@@ -211,12 +226,8 @@ def induced_map(h: LatticeHom) -> SpaceMap:
 
 def _induced(h: LatticeHom) -> SpaceMap:
     """ult(h) for a verified h: K -> L, between ult(L) and ult(K), each
-    kept in its lattice's memo by build_space.  Point i of ult(L) is ↑tᵢ
-    for the i-th atom tᵢ of L (see build_space), so its preimage h⁻¹(↑tᵢ)
-    is read off h.pullbacks, with no pass over K per point.  Its image is
-    the one point of ult(K) holding that preimage: the points are all the
-    ultrafilters.  Neither lattice need be normal; a preimage with no or
-    several ultrafilters above it raises NonUniqueExtension.
+    kept in its lattice's memo by build_space, with the point map of
+    _ult_map.
 
     The map is continuous by construction.  Distinct atoms are
     incomparable, so every closure cl{i} = {i' : tᵢ' <= tᵢ} is {i}.  A
@@ -225,21 +236,36 @@ def _induced(h: LatticeHom) -> SpaceMap:
     point map out of a space whose closures are singletons is monotone.
     """
     ult_l = build_space(h.target, "ultra")
-    ult_k = build_space(h.source, "ultra")
+    return SpaceMap(ult_l, build_space(h.source, "ultra"), _ult_map(h))
+
+
+def _ult_map(h: LatticeHom) -> tuple:
+    """The point map of ult(h) for a verified h: K -> L, or the error
+    that says it is undefined.  Point i of ult(L) is ↑tᵢ for the i-th
+    atom tᵢ of L (see build_space), so its preimage h⁻¹(↑tᵢ) is read off
+    h.pullbacks, with no pass over K per point.  Its image is the index
+    of the one atom s of K with h⁻¹(↑tᵢ) ⊆ ↑s: the ↑s are all the
+    ultrafilters.  Neither lattice need be normal; a preimage with no or
+    several ultrafilters above it raises NonUniqueExtension, and a
+    lattice with 0 = 1 has no filter, so an L with 0 = 1 (and with it
+    any such K) raises DegenerateLattice.  The ↑s come from
+    lattice._generator_ups, so no space is built.
+    """
+    K, L = h.source, h.target
+    if L.bottom == L.top:
+        raise DegenerateLattice("filters need 0 != 1")
+    ups = _generator_ups(K, atoms(K))
     pull = h.pullbacks
     pm = []
-    for t in atoms(h.target):
-        pre = pull[t]
-        exts = [
-            i for i, u in enumerate(ult_k.points) if subset(pre, u.members)
-        ]
+    for t in atoms(L):
+        exts = [i for i, u in enumerate(ups) if subset(pull[t], u)]
         if len(exts) != 1:
             raise NonUniqueExtension(
                 f"{len(exts)} ultrafilter extensions found",
-                extensions=[ult_k.points[i] for i in exts],
+                extensions=[FilterSet(K, ups[i], kind="ultra") for i in exts],
             )
         pm.append(exts[0])
-    return SpaceMap(ult_l, ult_k, tuple(pm))
+    return tuple(pm)
 
 
 def is_separative_hom(h: LatticeHom) -> tuple:
@@ -291,13 +317,22 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
 
     Hypotheses: both lattices normal and separative (finite scale forces
     Boolean).  With unchecked=True the three conditions are evaluated
-    without asserting their equivalence.
-    Each space is built once per lattice (build_space keeps it).  The
-    preimage h⁻¹(↑t) of each point ↑t of ult(L), t an atom, is read off
-    h.pullbacks (see _induced), and it is an ultrafilter iff it is a
-    point of ult(K).  A NonUniqueExtension from _induced makes the
-    preimage law false.  The call to is_separative_hom re-reads h.law,
-    so h is still verified once.
+    without asserting their equivalence.  The call to is_separative_hom
+    re-reads h.law, so h is still verified once.
+
+    The preimage h⁻¹(↑t) of each point ↑t of ult(L), t an atom, is read
+    off h.pullbacks (see _ult_map), and it is an ultrafilter iff it is
+    a point of ult(K), built once per lattice (build_space keeps it).
+
+    The preimage law, {p : ult(h)(p) ∈ a⁺} = h(a)⁺ for every a of K,
+    holds iff every preimage is an ultrafilter, so preimage_law is
+    preimages_ultra, with no normality needed and no map built.  ult(h)
+    sends ↑tᵢ to an ultrafilter Uᵢ ⊇ h⁻¹(↑tᵢ), and the law says, read at
+    the point ↑tᵢ, that a ∈ Uᵢ iff h(a) ∈ ↑tᵢ iff a ∈ h⁻¹(↑tᵢ): each
+    preimage is the point it maps to.  Conversely, if h⁻¹(↑tᵢ) is a
+    point ↑s, then ↑s is the only ultrafilter above it, as ultrafilters
+    are maximal, so ult(h) is defined and sends ↑tᵢ to h⁻¹(↑tᵢ) itself.
+    As in ult(h), a target with 0 = 1 raises DegenerateLattice.
     """
     _require_hom(h)
     failed = []
@@ -312,25 +347,11 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
         )
     K, L = h.source, h.target
     sep = is_separative_hom(h)[0]
-    ult_k = build_space(K, "ultra")
-    points_k = {u.members for u in ult_k.points}
-    preimages_ultra = all(h.pullbacks[t] in points_k for t in atoms(L))
-    try:
-        sm = _induced(h)
-    except NonUniqueExtension:
-        law = False
-    else:
-        law = True
-        for a in range(K.n):
-            target_mask = ult_k.a_plus[a]
-            pre = 0
-            for i, fi in enumerate(sm.point_map):
-                if target_mask >> fi & 1:
-                    pre |= bit(i)
-            if pre != sm.source.a_plus[h(a)]:
-                law = False
-                break
-    report = SeparativityReport(sep, preimages_ultra, law)
+    if L.bottom == L.top:
+        raise DegenerateLattice("filters need 0 != 1")
+    points_k = {u.members for u in build_space(K, "ultra").points}
+    ultra = all(h.pullbacks[t] in points_k for t in atoms(L))
+    report = SeparativityReport(sep, ultra, ultra)
     if not failed and not report.all_equivalent():
         raise OracleDisagreement("equivalence fails under hypotheses")
     return report
@@ -338,26 +359,36 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
 
 def functor_laws(g: LatticeHom, h: LatticeHom) -> bool:
     """ult(g∘h) = ult(h)∘ult(g) pointwise, and ult(id) = id, for
-    h: K -> L and g: L -> M.
+    h: K -> L and g: L -> M, once g and h are verified and K, L and M
+    checked normal.
 
-    Only g and h are verified: g∘h and id_K are homs by construction, as
-    h and then g preserve 0, 1, ∧ and ∨, and so does the identity.  Each
-    of ult(K), ult(L), ult(M) is built once (build_space keeps it) and
-    shared by the four maps: compose has checked that g's source equals
-    h.target, so g is read over h.target even when it holds a copy.
+    Both laws hold by construction wherever the maps are defined, so no
+    map is built and compared.  Only g and h are verified: g∘h and id_K
+    are homs by construction, as h and then g preserve 0, 1, ∧ and ∨,
+    and so does the identity.  For an atom r of M write ↑t = ult(g)(↑r)
+    and ↑s = ult(h)(↑t), so g⁻¹(↑r) ⊆ ↑t and h⁻¹(↑t) ⊆ ↑s.  Then
+    (g∘h)⁻¹(↑r) = h⁻¹(g⁻¹(↑r)) ⊆ h⁻¹(↑t) ⊆ ↑s, and ult(g∘h) sends ↑r to
+    the one ultrafilter above (g∘h)⁻¹(↑r), which is ↑s.  The identity
+    law: id⁻¹(↑t) = ↑t lies in ↑s iff s <= t, iff s = t for atoms, so
+    ult(id) is defined and is the identity.
+
+    ult(f) is defined when each f⁻¹(↑t) has one ultrafilter above it.
+    Normality of the source gives that when the atom t is join-prime, as
+    f⁻¹ of a prime filter is prime, but the atoms of a normal lattice
+    need not be: the embedding 2² -> M3 onto {0, a, b, 1} leaves
+    h⁻¹(↑c) = {1} inside both ultrafilters of 2².  So _ult_map checks that
+    ult(g∘h), ult(g) and ult(h) are defined, in that order, raising
+    NonUniqueExtension or DegenerateLattice for the first that is not,
+    and builds no space.
     """
     gh = compose(g, h)
     for f in (g, h):
         _require_hom(f)
     K, L, M = h.source, h.target, g.target
     _require_normal(("source", K), ("middle", L), ("target", M))
-    m_gh = _induced(gh)
-    m_g = _induced(LatticeHom(L, M, g.map))
-    m_h = _induced(h)
-    composed = tuple(m_h.point_map[i] for i in m_g.point_map)
-    idm = _induced(identity_hom(K))
-    id_ok = idm.point_map == tuple(range(idm.target.size))
-    return m_gh.point_map == composed and id_ok
+    for f in (gh, g, h):
+        _ult_map(f)
+    return True
 
 
 @dataclass(frozen=True)

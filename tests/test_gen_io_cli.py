@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from wallman import cli, covers, gen, io, lattice
 from wallman.bits import iter_bits
 from wallman.caps import SIZE_CAP
-from wallman.errors import SizeCap
+from wallman.errors import DegenerateLattice, SizeCap
 from wallman.lattice import _distributivity_scan, is_boolean
 
 
@@ -103,6 +103,19 @@ def test_boolean_algebra():
     B = gen.boolean_algebra(3)
     assert B.n == 8 and is_boolean(B)
     assert gen.boolean_algebra(0).n == 1
+
+
+def test_random_boolean_hom_out_of_b0():
+    """B0 has 0 = 1, so its one map goes to B0; every other target has
+    an atom and no hom reaches it, which raises DegenerateLattice naming
+    both algebras."""
+    B0 = gen.boolean_algebra(0)
+    h = gen.random_boolean_hom(B0, B0, 0)
+    assert h.map == (0,) and h.law == (True, None)
+    for k in range(1, 4):
+        for seed in range(3):
+            with pytest.raises(DegenerateLattice, match=f"from B0 to B{k}:"):
+                gen.random_boolean_hom(B0, gen.boolean_algebra(k), seed)
 
 
 def test_generators_reproducible():
@@ -409,6 +422,22 @@ def test_cli_hom_not_a_homomorphism(capsys, tmp_path):
     assert code == 1 and rep["valid_hom"] is False
     assert rep["witness"]
     assert "induced" not in rep and "separative" not in rep
+
+
+def test_cli_hom_not_normal(capsys, tmp_path):
+    """fivepoint is not normal: --induced and --laws on its identity exit
+    2 with the NotNormal message naming the source, and no traceback."""
+    hpath = tmp_path / "id.json"
+    hpath.write_text(json.dumps({
+        "source": "fivepoint",
+        "target": "fivepoint",
+        "map": [[nm, nm] for nm in ("0", "a", "b", "c", "1")],
+    }))
+    for flags in (["--induced"], ["--laws", str(hpath)]):
+        code = cli.main(["hom", str(hpath), *flags])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), flags
+        assert err == "error: source lattice not normal, witness (1, 2)\n", flags
 
 
 @pytest.mark.parametrize("name", io.FIXTURE_NAMES)

@@ -8,13 +8,16 @@ from test_lattice import closure_system_lattices
 from test_spaces import oracle_lattices, ref_closed_family
 
 from wallman import cli, gen, homs, io, lattice, spaces
-from wallman.bits import mask_of, subset
+from wallman.bits import bit, mask_of, subset
 from wallman.errors import (
+    DegenerateLattice,
     NonUniqueExtension,
     NotAHom,
     NotComposable,
+    NotNormal,
     OracleDisagreement,
     PreconditionFailed,
+    WallmanError,
 )
 from wallman.filters import enumerate_filters, is_prime
 from wallman.homs import (
@@ -35,6 +38,7 @@ from wallman.homs import (
 from wallman.lattice import (
     SIZE_CAP,
     FiniteLattice,
+    atoms,
     chain_lattice,
     is_boolean,
     is_distributive,
@@ -100,6 +104,19 @@ def test_map_entry_outside_the_target_is_a_verdict(corpus):
             h = LatticeHom(P, P, f)
             assert verify_hom(h) == (False, ("range", a)), (P, f)
             assert h.law == (False, ("range", a))
+
+
+def test_pullbacks_refuse_an_entry_outside_the_target(corpus):
+    """h.pullbacks, read before or without the law, raises NotAHom with
+    the law's ("range", a) witness instead of indexing the target with
+    the entry: a negative one used to wrap around, a large one to fail
+    with IndexError."""
+    for P in (powerset_lattice(2), corpus["powerset2"]):
+        for f, a in (((0, -1, 2, 3), 1), ((0, 1, 2, 9), 3)):
+            with pytest.raises(NotAHom) as exc:
+                LatticeHom(P, P, f).pullbacks
+            assert exc.value.witness == ("range", a), (P, f)
+            assert LatticeHom(P, P, f).law == (False, ("range", a))
 
 
 def ref_verify_hom(h):
@@ -445,17 +462,66 @@ def test_separative_hom_matches_reference_on_closure_systems(L, rng):
         check_separative_hom(h)
 
 
+def ref_induced(h):
+    """_induced as it stood before it took its point map from _ult_map,
+    verbatim: the extensions are read off the points of ult(K)."""
+    ult_l = build_space(h.target, "ultra")
+    ult_k = build_space(h.source, "ultra")
+    pull = h.pullbacks
+    pm = []
+    for t in atoms(h.target):
+        pre = pull[t]
+        exts = [
+            i for i, u in enumerate(ult_k.points) if subset(pre, u.members)
+        ]
+        if len(exts) != 1:
+            raise NonUniqueExtension(
+                f"{len(exts)} ultrafilter extensions found",
+                extensions=[ult_k.points[i] for i in exts],
+            )
+        pm.append(exts[0])
+    return SpaceMap(ult_l, ult_k, tuple(pm))
+
+
+def ref_preimage_law(h):
+    """The preimage law measured on the induced map, as
+    separativity_equivalence measured it before it read the law off
+    preimages_ultra, verbatim: {p : ult(h)(p) ∈ a⁺} = h(a)⁺ for every
+    a, false where ult(h) is undefined."""
+    K = h.source
+    ult_k = build_space(K, "ultra")
+    try:
+        sm = ref_induced(h)
+    except NonUniqueExtension:
+        law = False
+    else:
+        law = True
+        for a in range(K.n):
+            target_mask = ult_k.a_plus[a]
+            pre = 0
+            for i, fi in enumerate(sm.point_map):
+                if target_mask >> fi & 1:
+                    pre |= bit(i)
+            if pre != sm.source.a_plus[h(a)]:
+                law = False
+                break
+    return law
+
+
 def test_separativity_report_matches_the_definitions(corpus, quotient, embedding):
-    """The separative and preimages_ultra fields, read off the cached
-    columns, against the definitional scan and the brute-force
-    ultrafilters and preimages, with the hypotheses unchecked: identity
-    homs of the fixtures (ult(L) then has fewer points than L has
-    join-irreducibles), prime-filter homs and Boolean homs."""
+    """The three fields, read off the cached columns, against the
+    definitional scan, the brute-force ultrafilters and preimages, and
+    the preimage law measured on the induced map (ref_preimage_law), with
+    the hypotheses unchecked: identity homs of the fixtures (ult(L) then
+    has fewer points than L has join-irreducibles), prime-filter homs,
+    Boolean homs and the embedding of 2² into M3, whose ult is
+    undefined."""
     rng = random.Random(3)
     lattices = [L for L in oracle_lattices(corpus) if L.n > 1]
     homs_ = [quotient, embedding] + random_boolean_homs()
     homs_ += [identity_hom(L) for L in lattices]
     homs_ += [h for L in lattices[:20] for h in prime_filter_homs(L, rng)]
+    homs_.append(m3_embedding(corpus["m3"]))
     seen = set()
     for h in homs_:
         if h.target.n == 1:
@@ -468,8 +534,36 @@ def test_separativity_report_matches_the_definitions(corpus, quotient, embedding
         )
         assert rep.separative == ref_is_separative_hom(h)[0], h
         assert rep.preimages_ultra == preimages_ultra, h
+        assert rep.preimage_law == ref_preimage_law(h) == preimages_ultra, h
         seen.add(preimages_ultra)
     assert seen == {True, False}
+
+
+def m3_embedding(m3):
+    """2² onto {0, a, b, 1} in M3: a hom between normal lattices whose
+    ult is undefined, as h⁻¹(↑c) = {1} lies in both ultrafilters of 2²."""
+    return hom_by_names(
+        powerset_lattice(2),
+        m3,
+        [("{}", "0"), ("{0}", "a"), ("{1}", "b"), ("{0,1}", "1")],
+    )
+
+
+def test_a_target_with_0_equal_1_has_no_space(corpus):
+    """A hom onto the one-element lattice is valid, but ult of that
+    lattice is undefined, so the entries that read it raise
+    DegenerateLattice, with the hypotheses checked or not."""
+    one = chain_lattice(1)
+    for L in (corpus["powerset2"], powerset_lattice(3), one):
+        h = LatticeHom(L, one, (one.bottom,) * L.n)
+        assert h.law == (True, None)
+        for unchecked in (False, True):
+            with pytest.raises(DegenerateLattice):
+                separativity_equivalence(h, unchecked)
+        with pytest.raises(DegenerateLattice):
+            functor_laws(identity_hom(one), h)
+        with pytest.raises(DegenerateLattice):
+            ref_functor_laws(identity_hom(one), h)
 
 
 def test_separativity_equivalence_identity(corpus):
@@ -516,12 +610,97 @@ def test_functor_laws_random(j, k, l, seed):
     assert functor_laws(g, h)
 
 
+def ref_functor_laws(g, h):
+    """functor_laws as it stood before it decided the laws by
+    construction, verbatim, with _induced replaced by its verbatim copy
+    ref_induced: the four induced maps built and compared pointwise."""
+    gh = compose(g, h)
+    for f in (g, h):
+        homs._require_hom(f)
+    K, L, M = h.source, h.target, g.target
+    homs._require_normal(("source", K), ("middle", L), ("target", M))
+    m_gh = ref_induced(gh)
+    m_g = ref_induced(LatticeHom(L, M, g.map))
+    m_h = ref_induced(h)
+    composed = tuple(m_h.point_map[i] for i in m_g.point_map)
+    idm = ref_induced(identity_hom(K))
+    id_ok = idm.point_map == tuple(range(idm.target.size))
+    return m_gh.point_map == composed and id_ok
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the package error it raised."""
+    try:
+        return fn(*args)
+    except WallmanError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_functor_laws_match_the_pointwise_check(corpus):
+    """functor_laws, with no map built, gives ref_functor_laws' value or
+    error on 512 Boolean pairs B_j -> B_k -> B_l (j, k, l in 1..4) and on
+    the corpus: each fixture's identity twice, each prime-filter hom
+    followed by a Boolean hom, and the embedding 2² -> M3 before M3's
+    identity and after 2²'s, where ult is undefined although all three
+    lattices are normal."""
+    rng = random.Random(5)
+    algebras = {k: gen.boolean_algebra(k) for k in range(1, 5)}
+    pairs = []
+    for j in range(1, 5):
+        for k in range(1, 5):
+            for l in range(1, 5):
+                for seed in range(8):
+                    h = gen.random_boolean_hom(algebras[j], algebras[k], seed)
+                    g = gen.random_boolean_hom(algebras[k], algebras[l], seed + 1)
+                    pairs.append((g, h))
+    for L in corpus.values():
+        pairs.append((identity_hom(L), identity_hom(L)))
+        for h in prime_filter_homs(L, rng):
+            k = len(atoms(h.target))
+            if k:
+                g = gen.random_boolean_hom(h.target, algebras[rng.randint(1, 4)], k)
+                pairs.append((g, h))
+    emb = m3_embedding(corpus["m3"])
+    pairs += [(identity_hom(corpus["m3"]), emb), (emb, identity_hom(emb.source))]
+    assert len(pairs) >= 500
+    seen = set()
+    for g, h in pairs:
+        got = outcome(functor_laws, g, h)
+        assert got == outcome(ref_functor_laws, g, h), (g, h)
+        seen.add(got if got is True else got[0])
+    assert seen == {True, "NotNormal", "NonUniqueExtension"}
+
+
+def test_not_normal_names_the_lattice(corpus):
+    """induced_map names its source, and functor_laws its source, middle
+    and target in turn, each with is_normal's witness: fivepoint is not
+    normal, and the 2-chain, the powersets and the homs between them
+    are."""
+    fp = corpus["fivepoint"]
+    wit = lattice.is_normal(fp)[1]
+    assert wit is not None
+    with pytest.raises(NotNormal) as exc:
+        induced_map(identity_hom(fp))
+    assert str(exc.value) == f"source lattice not normal, witness {wit}"
+    two = chain_lattice(2)
+    up = LatticeHom(two, fp, tuple(fp.top if a == two.top else fp.bottom for a in range(2)))
+    down = next(prime_filter_homs(fp, random.Random(0)))
+    for label, g, h in (
+        ("source", identity_hom(down.target), down),
+        ("middle", down, up),
+        ("target", up, identity_hom(two)),
+    ):
+        with pytest.raises(NotNormal) as exc:
+            functor_laws(g, h)
+        assert str(exc.value) == f"{label} lattice not normal, witness {wit}"
+
+
 def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
     """A hom object is verified once however many public entries it goes
     through, since each reads the verdict cached in h.law: the five
     one-hom entries and then functor_laws(g, h) verify h once and g once.
-    Together they construct ult(K), ult(L) and ult(M) once each.
-    `wallman hom` verifies its hom once whatever the flags, and --laws
+    Together they construct ult(K) and ult(L) once each; functor_laws
+    builds no space, so ult(M) is never built.  `wallman hom` verifies its hom once whatever the flags, and --laws
     its second hom once more."""
     B = [gen.boolean_algebra(k) for k in (3, 2, 2)]
     h = gen.random_boolean_hom(B[0], B[1], 1)
@@ -543,8 +722,8 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
     assert verified == [h]
     assert functor_laws(g, h)
     assert verified == [h, g]
-    assert len(built) == 3
-    assert {id(L) for L in built} == {id(h.source), id(h.target), id(g.target)}
+    assert len(built) == 2
+    assert {id(L) for L in built} == {id(h.source), id(h.target)}
 
     names = ["{}", "{0}", "{1}", "{0,1}"]
     path = tmp_path / "id.json"
@@ -571,10 +750,9 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
 def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
     """build_space keeps each space in its lattice's memo.  `wallman hom`
     with --induced, --separative, --equivalence and --laws on the
-    identity of powerset2 asks for ult(·) 13 times over 3 lattice objects
-    (twice from induced_map, three times from separativity_equivalence,
-    eight times from the four maps of functor_laws) and builds each of
-    the 3 spaces once."""
+    identity of powerset2 asks for ult(·) 3 times over 2 lattice objects
+    (twice from induced_map, once from separativity_equivalence, never
+    from functor_laws) and builds each of the 2 spaces once."""
     calls, built = [], []
     build, space = homs.build_space, spaces.WallmanSpace
     monkeypatch.setattr(
@@ -593,8 +771,8 @@ def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
     flags = ["--induced", "--separative", "--equivalence", "--laws", str(path)]
     assert cli.main(["hom", str(path), *flags]) == 0
     capsys.readouterr()
-    assert len(calls) == 13
-    assert len(built) == 3
+    assert len(calls) == 3
+    assert len(built) == 2
     assert {id(L) for L in built} == {id(L) for L in calls}
 
     L = gen.boolean_algebra(2)

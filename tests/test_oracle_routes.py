@@ -24,8 +24,10 @@ The refinement flags and alexandrov's onto map hold by construction: the
 refinement reaches none of the scans that used to measure its flags, and
 alexandrov chases no preimage and closes no family of classes.  So do the
 clauses of theorem_suite, which builds no space and measures no
-separation axiom.  verify_hom decides the law through the dual check
-_dual_law_holds, and its pair scan runs only once that check has failed.
+separation axiom, and so do the functor laws and the preimage law:
+functor_laws and separativity_equivalence build no induced map.
+verify_hom decides the law through the dual check _dual_law_holds, and
+its pair scan runs only once that check has failed.
 """
 
 import ast
@@ -370,6 +372,17 @@ def test_constructions_skip_the_checks_they_make_true():
     reached = reached_from(index["alexandrov"], index)
     assert "build_space" in reached
     assert not reached & {"preimage_filter", "union_closure"}
+
+
+def test_hom_laws_build_no_induced_map():
+    """functor_laws and separativity_equivalence decide the functor laws
+    and the preimage law by construction: neither builds an induced map,
+    and functor_laws checks that its maps are defined without building
+    a space."""
+    index = function_index()
+    for entry in ("functor_laws", "separativity_equivalence"):
+        assert not reached_from(index[entry], index) & {"_induced", "SpaceMap"}, entry
+    assert "build_space" not in reached_from(index["functor_laws"], index)
 
 
 def test_theorem_suite_builds_no_space():
