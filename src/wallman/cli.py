@@ -147,7 +147,7 @@ def cmd_hom(args) -> tuple:
         report["witness"] = list(wit)
     if ok and args.induced:
         sm = homs.induced_map(h)
-        # a point map out of ult(L) is continuous by construction (_induced)
+        # a point map out of ult(L) is continuous by construction (induced_map)
         report["induced"] = {
             "points": {
                 sm.source.point_label(i): sm.target.point_label(fi)

@@ -7,7 +7,7 @@ or OR per member), and the two clopen-style refinements.  The search
 answers every counter above max phi(u) in closed form, from each set's
 depth in the last level's strict-superset relation; at counters up to
 min phi(u) a longest chain stays on its set, and only the counters in
-between fill a bucketed table.
+between fill a bucketed table, each level of it until a row repeats.
 
 Node validity (centeredness) is read over the ground set: the intersection
 of the chosen members must be nonempty, the empty choice being vacuously
@@ -17,7 +17,7 @@ centered.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
@@ -411,12 +411,22 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
     the longest bucket that set meets: that bucket holds exactly its
     longest successors, and the lowest bit among them is the first of
     them in index order, the one that max over its successors listed in
-    index order returns.  A cap at or below max phi(u) moves the closed
-    form up to its top row, all 1s, which is min(cap - k + 1,
-    1 + depth[s]) at k = cap as well.  When phi(u) is empty every row
-    below the cap stays put, so every length is cap - k + 1 and the chain
-    stays on the first set, the empty choice; depth, read over strict
-    supersets of a last level that is level 0, is then unused.
+    index order returns.  A filled row k reads level l = the number of
+    values of phi(u) below k, at least 1 above min phi(u), and it and its
+    successors are a function of row k + 1 and l alone.  So once a
+    filled row equals the row above it, every row of level l below it,
+    down to the level's lowest counter need[l - 1] + 1, repeats it with
+    the same successors: those rows are skipped, and the chain reads its
+    successors there from the repeated row.  A level's sets strictly
+    grow along each step, so at most |members| + 2 of its rows are
+    filled, and the work no longer grows with the values of phi(u).
+
+    A cap at or below max phi(u) moves the closed form up to its top
+    row, all 1s, which is min(cap - k + 1, 1 + depth[s]) at k = cap as
+    well.  When phi(u) is empty every row below the cap stays put, so
+    every length is cap - k + 1 and the chain stays on the first set,
+    the empty choice; depth, read over strict supersets of a last level
+    that is level 0, is then unused.
     """
     pos, need, hit = _order_masks(F, phi, u, mode)
     sets, masks = zip(*centered_subsets(F))
@@ -459,14 +469,18 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
         top = min(cap, need[-1] + 1) if need else cap  # lowest closed-form row
         low = min(top, need[0] + 1) if need else top  # rows below stay put
         row = [min(cap - top + 1, 1 + h) for h in depth]
-        picks = [None] * top  # picks[k][x]: the successor of (sets[x], k)
-        for k in range(top - 1, low - 1, -1):
+        # picks[i][x]: the successor of (sets[x], k) for starts[i] <= k
+        # below the next start, filled top down
+        starts, picks = [], []
+        k = top - 1
+        while k >= low:
+            l = bisect_left(need, k)
             buckets: dict = {}
             for j, n in enumerate(row):
                 buckets[n] = buckets.get(n, 0) | 1 << j
             longest_first = sorted(buckets.items(), reverse=True)
             lengths, pick = [], []
-            for out in succ[bisect_left(need, k)]:
+            for out in succ[l]:
                 n, x = 0, None  # no successor: the chain ends here
                 if out:  # the buckets cover every set, so out meets one
                     for n, bucket in longest_first:
@@ -475,15 +489,21 @@ def _chain_search(F: CoverFamily, phi: dict, u: str, mode: str):
                             break
                 lengths.append(n + 1)
                 pick.append(x)
+            if lengths == row:  # so is every row of level l below k
+                k = max(low, need[l - 1] + 1)
+            starts.append(k)
+            picks.append(pick)
             row = lengths
-            picks[k] = pick
+            k -= 1
+        starts.reverse()
+        picks.reverse()
         length = low + row[0]
         chain = [(sets[0], k) for k in range(low)]
         x, k = 0, low
         while x is not None:
             chain.append((sets[x], k))
             if k < top:
-                x = picks[k][x]
+                x = picks[bisect_right(starts, k) - 1][x]
             elif k < cap and depth[x]:
                 x = lowest_bit(
                     last[x] & atleast[min(cap - k - 1, depth[x] - 1)]

@@ -218,16 +218,8 @@ def induced_map(h: LatticeHom) -> SpaceMap:
     so both lattices are checked normal first.  The points of ult(L) are
     prime when the atoms of L are join-prime; otherwise a preimage may
     lie in several ultrafilters, and _ult_map raises
-    NonUniqueExtension."""
-    _require_hom(h)
-    _require_normal(("source", h.source), ("target", h.target))
-    return _induced(h)
-
-
-def _induced(h: LatticeHom) -> SpaceMap:
-    """ult(h) for a verified h: K -> L, between ult(L) and ult(K), each
-    kept in its lattice's memo by build_space, with the point map of
-    _ult_map.
+    NonUniqueExtension.  The point map is _ult_map's, and ult(L) and
+    ult(K) are kept in their lattices' memos by build_space.
 
     The map is continuous by construction.  Distinct atoms are
     incomparable, so every closure cl{i} = {i' : tᵢ' <= tᵢ} is {i}.  A
@@ -235,6 +227,8 @@ def _induced(h: LatticeHom) -> SpaceMap:
     specialization preorders (see SpaceMap.is_continuous), and every
     point map out of a space whose closures are singletons is monotone.
     """
+    _require_hom(h)
+    _require_normal(("source", h.source), ("target", h.target))
     ult_l = build_space(h.target, "ultra")
     return SpaceMap(ult_l, build_space(h.source, "ultra"), _ult_map(h))
 
@@ -246,8 +240,9 @@ def _ult_map(h: LatticeHom) -> tuple:
     h.pullbacks, with no pass over K per point.  Its image is the index
     of the one atom s of K with h⁻¹(↑tᵢ) ⊆ ↑s: the ↑s are all the
     ultrafilters.  Neither lattice need be normal; a preimage with no or
-    several ultrafilters above it raises NonUniqueExtension, and a
-    lattice with 0 = 1 has no filter, so an L with 0 = 1 (and with it
+    several ultrafilters above it raises NonUniqueExtension, naming the
+    point ^tᵢ and the two lattices (source and target when unnamed), and
+    a lattice with 0 = 1 has no filter, so an L with 0 = 1 (and with it
     any such K) raises DegenerateLattice.  The ↑s come from
     lattice._generator_ups, so no space is built.
     """
@@ -261,7 +256,9 @@ def _ult_map(h: LatticeHom) -> tuple:
         exts = [i for i, u in enumerate(ups) if subset(pull[t], u)]
         if len(exts) != 1:
             raise NonUniqueExtension(
-                f"{len(exts)} ultrafilter extensions found",
+                f"{len(exts)} ultrafilter extensions found above the"
+                f" preimage of ^{L.names[t]} under the hom"
+                f" {K.name or 'source'} -> {L.name or 'target'}",
                 extensions=[FilterSet(K, ups[i], kind="ultra") for i in exts],
             )
         pm.append(exts[0])
@@ -322,7 +319,8 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
 
     The preimage h⁻¹(↑t) of each point ↑t of ult(L), t an atom, is read
     off h.pullbacks (see _ult_map), and it is an ultrafilter iff it is
-    a point of ult(K), built once per lattice (build_space keeps it).
+    a point ↑s of ult(K), s an atom, read off lattice._generator_ups
+    with no space built.
 
     The preimage law, {p : ult(h)(p) ∈ a⁺} = h(a)⁺ for every a of K,
     holds iff every preimage is an ultrafilter, so preimage_law is
@@ -349,7 +347,7 @@ def separativity_equivalence(h: LatticeHom, unchecked: bool = False) -> Separati
     sep = is_separative_hom(h)[0]
     if L.bottom == L.top:
         raise DegenerateLattice("filters need 0 != 1")
-    points_k = {u.members for u in build_space(K, "ultra").points}
+    points_k = set(_generator_ups(K, atoms(K)))
     ultra = all(h.pullbacks[t] in points_k for t in atoms(L))
     report = SeparativityReport(sep, ultra, ultra)
     if not failed and not report.all_equivalent():
@@ -399,12 +397,13 @@ class KernelReport:
 
 
 def surjectivity_from_kernel(h: LatticeHom) -> KernelReport:
-    """h⁻¹(0) = {0} implies ult(h) surjective; converse only observed."""
+    """h⁻¹(0) = {0} implies ult(h) surjective; converse only observed.
+    ult(h) is read as its point map (_ult_map), onto iff it hits each of
+    the points ↑s of ult(K), one per atom s, with no space built."""
     _require_hom(h)
     kernel = h.kernel()
     trivial = kernel == (h.source.bottom,)
-    sm = _induced(h)
-    surj = sm.is_surjective()
+    surj = len(set(_ult_map(h))) == len(atoms(h.source))
     if trivial:
         if not surj:
             raise OracleDisagreement("trivial kernel must give a surjection")
@@ -447,11 +446,13 @@ class EmbeddingReport:
 
 
 def embedding_from_separation(h: LatticeHom) -> EmbeddingReport:
-    """Image separating the target implies ult(h) injective."""
+    """Image separating the target implies ult(h) injective.  ult(h) is
+    read as its point map (_ult_map), one entry per point ↑t of ult(L),
+    t an atom, and one-to-one iff its entries differ; no space is
+    built."""
     _require_hom(h)
     sep = image_separates(h)
-    sm = _induced(h)
-    inj = sm.is_injective()
+    inj = len(set(_ult_map(h))) == len(atoms(h.target))
     if sep:
         if not inj:
             raise OracleDisagreement("separating image must give an injection")

@@ -769,6 +769,38 @@ def test_chain_search_matches_list_version_twins():
         _assert_chain_search_matches_list_version(T, phi_from_witness(T), seed)
 
 
+def _spread(phi: dict, gap: int) -> dict:
+    """phi with each group g moved to g·gap."""
+    return {v: frozenset(g * gap for g in gs) for v, gs in phi.items()}
+
+
+def test_chain_search_matches_list_version_wide_gaps():
+    """Values of phi(u) further apart than |members| + 1, where the
+    filled rows of one level repeat and are skipped, at every cap."""
+    for seed in range(600, 640):
+        F = gen.random_staged_family(2 + seed % 4, seed)
+        gap = len(F.by_id()) + 2 + seed % 3
+        _assert_chain_search_matches_list_version(
+            F, _spread(phi_from_witness(F), gap), seed
+        )
+
+
+def test_chain_search_far_apart_phi_values():
+    """phi(u) = {0, 10⁹} gives the chain and rank of {0, g} for any gap
+    g past 2·|members| + 2, where the rows at the chain's counters no
+    longer see the top of the level; the list version reads the small
+    gap, the bitset search the large one, without a row per counter."""
+    for seed in range(20):
+        F = gen.random_staged_family(2 + seed % 4, seed)
+        n = len(F.by_id())
+        u = sorted(F.by_id())[seed % n]
+        for mode in ("membership", "equality"):
+            small = dict(phi_from_witness(F), **{u: frozenset({0, 2 * n + 3})})
+            large = dict(small, **{u: frozenset({0, 10**9})})
+            want = ref_chain_search(F, small, u, mode)(2 * n + 3 + n + 1)
+            assert stabilized_rank(F, large, u, mode) == want, (seed, mode)
+
+
 def test_strict_supersets_follow_their_subsets():
     """The closed-form rows of _chain_search take their depths in one pass
     by decreasing index, which needs every strict superset of a centered

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from wallman.errors import (
     DegenerateLattice,
     ElementInFilter,
     NonUniqueExtension,
+    NotAFilter,
     NotCentered,
     NotDistributive,
+    NotPrime,
     TooLarge,
 )
 from wallman.filters import (
@@ -26,6 +29,7 @@ from wallman.filters import (
     is_filter,
     is_ideal,
     is_prime,
+    is_ultra,
     principal_filter,
     separate_by_prime,
     ultrafilter_extensions,
@@ -295,6 +299,13 @@ def test_unique_extension_fivepoint_fails(fivepoint):
     assert names == {"a", "b"}
 
 
+def test_unique_extension_needs_a_prime_filter(n5):
+    """↑c of N5 is a filter but not prime: a∨b = 1 lies in it, a and b
+    do not."""
+    with pytest.raises(NotPrime, match=r"^filter is not prime, witness \(1, 3\)$"):
+        unique_ultrafilter_extension(n5, up(n5, "c"))
+
+
 @given(small_lattices)
 @settings(max_examples=30, deadline=None)
 def test_extension_surjects_onto_ultrafilters(L):
@@ -373,6 +384,25 @@ def test_separate_by_prime_examples(corpus, chain3):
     assert q.members == chain3.up_mask(chain3.top)
     with pytest.raises(ElementInFilter):
         separate_by_prime(chain3, up(chain3, "m"), chain3.id_of("m"))
+
+
+def test_filter_checks_refuse_a_non_filter(corpus):
+    """is_prime, is_ultra and separate_by_prime raise NotAFilter with
+    is_filter's witness: the empty set of powerset2 misses its top, and
+    {{}, {0,1}} holds its bottom."""
+    P = corpus["powerset2"]
+    for members, wit in (
+        (0, "('missing-top', 3)"),
+        (mask_of([P.bottom, P.top]), "('contains-bottom', 0)"),
+    ):
+        assert str(is_filter(P, members)[1]) == wit
+        for check in (
+            lambda: is_prime(P, members),
+            lambda: is_ultra(P, members),
+            lambda: separate_by_prime(P, members, P.id_of("{0}")),
+        ):
+            with pytest.raises(NotAFilter, match=f"^not a filter: {re.escape(wit)}$"):
+                check()
 
 
 @given(small_lattices, st.data())

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallman import cli, covers, gen, io, lattice
+from wallman import cli, covers, gen, homs, io, lattice
 from wallman.bits import iter_bits
 from wallman.caps import SIZE_CAP
-from wallman.errors import DegenerateLattice, SizeCap
-from wallman.lattice import _distributivity_scan, is_boolean
+from wallman.errors import DegenerateLattice, NonUniqueExtension, SizeCap
+from wallman.lattice import FiniteLattice, _distributivity_scan, is_boolean
 
 
 # -- generators -------------------------------------------------------------
@@ -438,6 +438,49 @@ def test_cli_hom_not_normal(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert (code, out) == (2, ""), flags
         assert err == "error: source lattice not normal, witness (1, 2)\n", flags
+
+
+def test_cli_hom_no_unique_extension_names_the_point(capsys, tmp_path):
+    """2² onto {0, a, b, 1} in M3 is a hom between normal lattices whose
+    ult is undefined: h⁻¹(↑c) = {1} lies in both ultrafilters of 2².
+    --induced, and --laws after M3's identity, where the composite is
+    checked first, exit 2 with a message naming the point ^c and both
+    lattices, and no traceback."""
+    hpath, idpath = tmp_path / "h.json", tmp_path / "id.json"
+    hpath.write_text(json.dumps({
+        "source": "powerset2",
+        "target": "m3",
+        "map": [["{}", "0"], ["{0}", "a"], ["{1}", "b"], ["{0,1}", "1"]],
+    }))
+    idpath.write_text(json.dumps({
+        "source": "m3",
+        "target": "m3",
+        "map": [[nm, nm] for nm in ("0", "a", "b", "c", "1")],
+    }))
+    for flags in (["--induced"], ["--laws", str(idpath)]):
+        code = cli.main(["hom", str(hpath), *flags])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), flags
+        assert err == (
+            "error: 2 ultrafilter extensions found above the preimage of ^c"
+            " under the hom powerset2 -> m3\n"
+        ), flags
+
+
+def test_no_unique_extension_names_unnamed_lattices():
+    """An unnamed source or target is called source or target."""
+    def unnamed(L):
+        return FiniteLattice.from_up_rows(L.names, [L.up_mask(a) for a in range(L.n)])
+
+    P, m3 = io.resolve_lattice("powerset2"), io.resolve_lattice("m3")
+    emb = (0, 1, 2, 4)  # {} -> 0, {0} -> a, {1} -> b, {0,1} -> 1
+    for h, pair in (
+        (homs.LatticeHom(unnamed(P), m3, emb), "source -> m3"),
+        (homs.LatticeHom(P, unnamed(m3), emb), "powerset2 -> target"),
+    ):
+        for entry in (homs.induced_map, homs.surjectivity_from_kernel):
+            with pytest.raises(NonUniqueExtension, match=f"of \\^c under the hom {pair}$"):
+                entry(h)
 
 
 @pytest.mark.parametrize("name", io.FIXTURE_NAMES)

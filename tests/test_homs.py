@@ -292,27 +292,27 @@ def brute_extensions(K, pre):
 
 
 def check_induced_map(h):
-    """_induced, the map of induced_map without its normality check,
-    against the definitions.  The preimage of a prime point is prime (the
-    ultrafilters of a non-distributive lattice need not be, and then
-    neither need their preimages be), each point goes to the single
-    brute-force ultrafilter extension of its preimage, and the map is
-    continuous; where some preimage has none or several extensions,
-    _induced raises NonUniqueExtension.  Returns whether the map was
-    defined."""
+    """_ult_map, the point map of induced_map without its normality
+    check, against the definitions.  The preimage of a prime point is
+    prime (the ultrafilters of a non-distributive lattice need not be,
+    and then neither need their preimages be), each point goes to the
+    single brute-force ultrafilter extension of its preimage, and the
+    map is continuous between the spaces build_space gives; where some
+    preimage has none or several extensions, _ult_map raises
+    NonUniqueExtension.  Returns whether the map was defined."""
     K, L = h.source, h.target
-    points = build_space(L, "ultra").points
+    ult_l = build_space(L, "ultra")
     exts = []
-    for p in points:
+    for p in ult_l.points:
         pre = h.preimage_filter(p)
         if is_prime(L, p)[0]:
             assert is_prime(K, pre)[0]
         exts.append(brute_extensions(K, pre))
     if any(len(e) != 1 for e in exts):
         with pytest.raises(NonUniqueExtension):
-            homs._induced(h)
+            homs._ult_map(h)
         return False
-    sm = homs._induced(h)
+    sm = SpaceMap(ult_l, build_space(K, "ultra"), homs._ult_map(h))
     assert [sm.target.points[i].members for i in sm.point_map] == [
         e[0] for e in exts
     ]
@@ -464,7 +464,9 @@ def test_separative_hom_matches_reference_on_closure_systems(L, rng):
 
 def ref_induced(h):
     """_induced as it stood before it took its point map from _ult_map,
-    verbatim: the extensions are read off the points of ult(K)."""
+    verbatim but for the error text, which names the point and the two
+    lattices as _ult_map's does: the extensions are read off the points
+    of ult(K)."""
     ult_l = build_space(h.target, "ultra")
     ult_k = build_space(h.source, "ultra")
     pull = h.pullbacks
@@ -476,7 +478,9 @@ def ref_induced(h):
         ]
         if len(exts) != 1:
             raise NonUniqueExtension(
-                f"{len(exts)} ultrafilter extensions found",
+                f"{len(exts)} ultrafilter extensions found above the"
+                f" preimage of {ult_l.point_label(len(pm))} under the hom"
+                f" {h.source.name or 'source'} -> {h.target.name or 'target'}",
                 extensions=[ult_k.points[i] for i in exts],
             )
         pm.append(exts[0])
@@ -750,9 +754,9 @@ def test_each_hom_verified_once(monkeypatch, tmp_path, capsys):
 def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
     """build_space keeps each space in its lattice's memo.  `wallman hom`
     with --induced, --separative, --equivalence and --laws on the
-    identity of powerset2 asks for ult(·) 3 times over 2 lattice objects
-    (twice from induced_map, once from separativity_equivalence, never
-    from functor_laws) and builds each of the 2 spaces once."""
+    identity of powerset2 asks for ult(·) 2 times over 2 lattice objects
+    (both from induced_map, never from separativity_equivalence or
+    functor_laws) and builds each of the 2 spaces once."""
     calls, built = [], []
     build, space = homs.build_space, spaces.WallmanSpace
     monkeypatch.setattr(
@@ -771,7 +775,7 @@ def test_each_space_built_once_per_lattice(monkeypatch, tmp_path, capsys):
     flags = ["--induced", "--separative", "--equivalence", "--laws", str(path)]
     assert cli.main(["hom", str(path), *flags]) == 0
     capsys.readouterr()
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert len(built) == 2
     assert {id(L) for L in built} == {id(L) for L in calls}
 
@@ -1107,13 +1111,15 @@ def test_stone_fields_match_the_measurement(corpus, tmp_path, capsys):
 # -- internal consistency checks ---------------------------------------------
 
 
-def _never(*args):
-    return False
+def _constant_map(h):
+    return (0,) * len(atoms(h.target))
 
 
 # Explicit ids keep each case's name stable across versions of the list;
 # cases 0 and 1 checked the continuity of induced maps, which now holds by
-# construction (see homs._induced).
+# construction (see homs.induced_map).  Cases 3 and 4 replace the point
+# map of ult(h) by a constant one, neither onto nor one-to-one on the two
+# points of ult(powerset2).
 @pytest.mark.parametrize("patches, call, message", [
     pytest.param(
         [(homs, "is_separative_hom", lambda h: (False, None))],
@@ -1122,13 +1128,13 @@ def _never(*args):
         id="patches2-<lambda>-equivalence fails under hypotheses",
     ),
     pytest.param(
-        [(SpaceMap, "is_surjective", _never)],
+        [(homs, "_ult_map", _constant_map)],
         lambda P: surjectivity_from_kernel(identity_hom(P)),
         "trivial kernel must give a surjection",
         id="patches3-<lambda>-trivial kernel must give a surjection",
     ),
     pytest.param(
-        [(SpaceMap, "is_injective", _never)],
+        [(homs, "_ult_map", _constant_map)],
         lambda P: embedding_from_separation(identity_hom(P)),
         "separating image must give an injection",
         id="patches4-<lambda>-separating image must give an injection",

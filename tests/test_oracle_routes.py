@@ -25,7 +25,9 @@ refinement reaches none of the scans that used to measure its flags, and
 alexandrov chases no preimage and closes no family of classes.  So do the
 clauses of theorem_suite, which builds no space and measures no
 separation axiom, and so do the functor laws and the preimage law:
-functor_laws and separativity_equivalence build no induced map.
+functor_laws and separativity_equivalence build no induced map.  Of the
+hom entries only induced_map and alexandrov, which return a space, build
+one; the others read ult(h) as its point map.
 verify_hom decides the law through the dual check _dual_law_holds, and
 its pair scan runs only once that check has failed.
 """
@@ -376,13 +378,30 @@ def test_constructions_skip_the_checks_they_make_true():
 
 def test_hom_laws_build_no_induced_map():
     """functor_laws and separativity_equivalence decide the functor laws
-    and the preimage law by construction: neither builds an induced map,
-    and functor_laws checks that its maps are defined without building
-    a space."""
+    and the preimage law by construction, and surjectivity_from_kernel
+    and embedding_from_separation read ult(h) as its point map: none of
+    them builds an induced map or a space.  Within homs.py only the
+    entries that return a space, induced_map and alexandrov, reach
+    build_space."""
     index = function_index()
-    for entry in ("functor_laws", "separativity_equivalence"):
-        assert not reached_from(index[entry], index) & {"_induced", "SpaceMap"}, entry
-    assert "build_space" not in reached_from(index["functor_laws"], index)
+    for entry in (
+        "functor_laws",
+        "separativity_equivalence",
+        "surjectivity_from_kernel",
+        "embedding_from_separation",
+    ):
+        assert not reached_from(index[entry], index) & {
+            "_induced",
+            "SpaceMap",
+            "build_space",
+        }, entry
+    tree = ast.parse((SRC / "homs.py").read_text())
+    builders = {
+        fn.name
+        for fn in top_level_functions(tree)
+        if "build_space" in reached_from([fn], index)
+    }
+    assert builders == {"induced_map", "alexandrov"}
 
 
 def test_theorem_suite_builds_no_space():
